@@ -39,7 +39,6 @@ from .interaction import (
     area_under_destruction,
     build_network,
     clip_windows,
-    count_components,
     destruction_curve,
     diversity_series,
     interaction_diversity,
@@ -89,7 +88,6 @@ __all__ = [
     "clip_windows",
     "constriction_factor",
     "correlate",
-    "count_components",
     "destruction_curve",
     "diversity_series",
     "fitness_improvement",

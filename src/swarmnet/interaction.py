@@ -19,43 +19,35 @@ quanta; interaction diversity aggregates areas over a window set T:
 
 High ID means many coexisting information flows (slow shattering); low ID
 means the swarm funnels through few flows (fast shattering).
+
+Every curve and area comes from the network's maximum spanning forest
+(Kruskal 1956). At threshold quantum k the kept edges are those of weight
+at least max(k, 1), and the forest edges among them span exactly the same
+components, so each forest edge of weight w merges two components at
+k = 0..w:
+
+    comps(k) = n - #{forest edges with w_e >= max(k, 1)}
+    sum over k of comps(k) = (2*t_w + 1) * n - sum over forest of (w_e + 1)
+
+That integer sum is exact in float64, so the closed-form area equals the
+mean of the integer curve bit for bit.
+
+diversity_series does not rebuild each network: per distinct window length
+it keeps one flat vector of directed counts (a selected b) and moves it
+from one sample point to the next by adding the counts of the rows that
+entered the window and subtracting those of the rows that left. A gap of a
+whole window or more rebuilds the vector from the window's rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .pso import InteractionLog
-
-
-class DisjointSet:
-    """Union-find over n elements with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
 
 
 @dataclass(frozen=True)
@@ -73,13 +65,6 @@ class WeightedNetwork:
     def max_weight(self) -> int:
         """Largest representable weight: mutual selection all window long."""
         return 2 * self.t_w
-
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays (i, j, weight) for the pairs i < j with positive weight."""
-        iu, ju = np.triu_indices(self.n, k=1)
-        w = self.weights[iu, ju]
-        keep = w > 0
-        return iu[keep], ju[keep], w[keep]
 
     def total_weight(self) -> int:
         return int(self.weights.sum()) // 2
@@ -106,6 +91,57 @@ class DiversityReport:
     id_value: float
 
 
+def _directed_counts(rows: np.ndarray, n: int) -> np.ndarray:
+    """Flat counts c[a*n + b] of the events in rows where a selected b."""
+    return np.bincount((rows + np.arange(0, n * n, n)).ravel(), minlength=n * n)
+
+
+@functools.lru_cache(maxsize=4)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and flat indices of the pairs i < j, read-only."""
+    i, j = np.triu_indices(n, k=1)
+    pairs = (i, j, i * n + j)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def _forest_weights(weights: np.ndarray) -> list[int]:
+    """Edge weights of a maximum spanning forest of a symmetric weight matrix.
+
+    Kruskal's algorithm over the positive edges i < j in descending weight,
+    with path halving; it stops once n - 1 edges span every node. Every
+    maximum spanning forest has the same weights, so ties may break either way.
+    """
+    n = len(weights)
+    iu, ju, flat = _upper_pairs(n)
+    w = weights.ravel()[flat]
+    positive = np.flatnonzero(w)
+    order = positive[np.argsort(-w[positive])]
+    parent = list(range(n))
+    forest = []
+    for a, b, weight in zip(iu[order].tolist(), ju[order].tolist(),
+                            w[order].tolist()):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[b] = a
+            forest.append(weight)
+            if len(forest) == n - 1:
+                break
+    return forest
+
+
+def _area(forest: list[int], n: int, t_w: int) -> float:
+    """Mean component count over the 2*t_w + 1 thresholds, from the forest."""
+    m = 2 * t_w + 1
+    return (m * n - sum(forest) - len(forest)) / m
+
+
 def build_network(log: InteractionLog, t: int, t_w: int) -> WeightedNetwork:
     """Interaction network at iteration t over the last t_w iterations."""
     if not 1 <= t_w <= t:
@@ -113,54 +149,22 @@ def build_network(log: InteractionLog, t: int, t_w: int) -> WeightedNetwork:
     if t > len(log):
         raise InputError(f"iteration t={t} exceeds log length {len(log)}")
     n = log.n
-    window = log.choices[t - t_w:t]
-    counts = np.zeros(n * n, dtype=np.int64)
-    # counts[a*n + b] = number of windowed iterations where a selected b
-    flat = (np.arange(n) * n)[None, :] + window
-    np.add.at(counts, flat.ravel(), 1)
-    directed = counts.reshape(n, n)
+    directed = _directed_counts(log.choices[t - t_w:t], n).reshape(n, n)
     return WeightedNetwork(n, t_w, directed + directed.T)
-
-
-def count_components(net: WeightedNetwork, min_normalized_weight: float) -> int:
-    """Connected components keeping only edges with I_ij/(2*t_w) >= threshold.
-
-    Isolated nodes count as components of size one.
-    """
-    if not 0.0 <= min_normalized_weight <= 1.0:
-        raise InputError(
-            f"threshold must lie in [0, 1], got {min_normalized_weight}"
-        )
-    i, j, w = net.edges()
-    keep = w / net.max_weight >= min_normalized_weight
-    ds = DisjointSet(net.n)
-    for a, b in zip(i[keep], j[keep]):
-        ds.union(int(a), int(b))
-    return ds.components
 
 
 def destruction_curve(net: WeightedNetwork) -> DestructionCurve:
     """Component counts over the full threshold grid k/(2*t_w), k = 0..2*t_w.
 
     Every distinct subgraph appears on this grid because weights are
-    integers in [0, 2*t_w]. Computed incrementally: edges join the graph in
-    descending weight order, so each grid point costs one bucket of unions.
+    integers in [0, 2*t_w]. Threshold 0 keeps the same edges as k = 1.
     """
     w_max = net.max_weight
-    i, j, w = net.edges()
-    order = np.argsort(-w, kind="stable")
-    i, j, w = i[order], j[order], w[order]
-    counts = np.empty(w_max + 1, dtype=np.int64)
-    ds = DisjointSet(net.n)
-    pos = 0
-    for k in range(w_max, 0, -1):
-        while pos < len(w) and w[pos] >= k:
-            ds.union(int(i[pos]), int(j[pos]))
-            pos += 1
-        counts[k] = ds.components
-    counts[0] = ds.components  # threshold 0 keeps the same edge set as k=1
+    forest = np.asarray(_forest_weights(net.weights), dtype=np.int64)
+    # at_least[k] = number of forest edges with weight >= k
+    at_least = np.bincount(forest, minlength=w_max + 1)[::-1].cumsum()[::-1]
     thresholds = np.arange(w_max + 1) / w_max
-    return DestructionCurve(thresholds, counts)
+    return DestructionCurve(thresholds, net.n - at_least)
 
 
 def area_under_destruction(curve: DestructionCurve) -> float:
@@ -184,7 +188,7 @@ def interaction_diversity(log: InteractionLog, t: int,
         if not 1 <= w <= t:
             raise InputError(f"window {w} must satisfy 1 <= t_w <= t={t}")
     areas = tuple(
-        area_under_destruction(destruction_curve(build_network(log, t, w)))
+        _area(_forest_weights(build_network(log, t, w).weights), log.n, w)
         for w in windows
     )
     id_value = 1.0 - sum(areas) / (log.n * len(windows))
@@ -196,16 +200,41 @@ def diversity_series(log: InteractionLog, windows: tuple[int, ...],
     """Sample ID at every stride-th iteration, always including the last.
 
     Windows are clipped to the history available at each sample point, so
-    the series is defined from the first iteration onward.
+    the series is defined from the first iteration onward. Each value equals
+    ``interaction_diversity(log, t, clip_windows(windows, t)).id_value``.
     """
     if stride < 1:
         raise InputError(f"stride must be >= 1, got {stride}")
+    if not windows:
+        raise InputError("window set must be non-empty")
+    for w in windows:
+        if w < 1:
+            raise InputError(f"window {w} must satisfy t_w >= 1")
     total = len(log)
+    if total < 1:
+        raise InputError("log holds no iterations")
     points = list(range(stride, total + 1, stride))
     if not points or points[-1] != total:
         points.append(total)
-    values = np.array([
-        interaction_diversity(log, t, clip_windows(windows, t)).id_value
-        for t in points
-    ])
+    n = log.n
+    choices = log.choices
+    # counts[w] covers rows max(t - w, 0)..t-1, the window clipped at t
+    counts = {w: np.zeros(n * n, dtype=np.int64) for w in set(windows)}
+    values = np.empty(len(points))
+    prev = 0
+    for k, t in enumerate(points):
+        for w, flat in counts.items():
+            if t - prev >= w:
+                flat[:] = _directed_counts(choices[t - w:t], n)
+            else:
+                flat += _directed_counts(choices[prev:t], n)
+                flat -= _directed_counts(choices[max(prev - w, 0):max(t - w, 0)], n)
+        areas = {}
+        for w in windows:
+            t_w = min(w, t)
+            if t_w not in areas:
+                directed = counts[w].reshape(n, n)
+                areas[t_w] = _area(_forest_weights(directed + directed.T), n, t_w)
+        values[k] = 1.0 - sum(areas[min(w, t)] for w in windows) / (n * len(windows))
+        prev = t
     return np.array(points, dtype=np.int64), values

@@ -59,7 +59,8 @@ def read_interaction_log(path) -> InteractionLog:
     """Parse a selection-event log back into memory.
 
     The file must contain every (iteration, particle) pair exactly once
-    for iterations 1..T and particles 0..n-1.
+    for iterations 1..T and particles 0..n-1, and no particle may select
+    itself: its own personal best never competes for best neighbor.
     """
     entries = []
     with open(path, newline="") as fh:
@@ -85,6 +86,8 @@ def read_interaction_log(path) -> InteractionLog:
     for t, i, b, line_no in entries:
         if i >= n or b >= n:
             raise _parse_error(path, line_no, f"particle index out of range in {(t, i, b)}")
+        if b == i:
+            raise _parse_error(path, line_no, f"particle {i} selects itself at iteration {t}")
         if choices[t - 1, i] != -1:
             raise _parse_error(path, line_no, f"duplicate event for iteration {t}, particle {i}")
         choices[t - 1, i] = b

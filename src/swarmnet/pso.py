@@ -72,16 +72,6 @@ class PsoParams:
 
 
 @dataclass
-class ParticleState:
-    """Per-particle view: current position/velocity and personal best."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest: np.ndarray
-    pbest_fitness: float
-
-
-@dataclass
 class Swarm:
     """Whole-swarm state stored as stacked arrays, one row per particle."""
 
@@ -97,12 +87,6 @@ class Swarm:
     @property
     def dimension(self) -> int:
         return self.positions.shape[1]
-
-    def particle(self, i: int) -> ParticleState:
-        return ParticleState(
-            self.positions[i], self.velocities[i],
-            self.pbest[i], float(self.pbest_fitness[i]),
-        )
 
     def global_best_fitness(self) -> float:
         return float(self.pbest_fitness.min())

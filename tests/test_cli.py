@@ -182,6 +182,14 @@ class TestRoundTrips:
         with pytest.raises(InputError, match="duplicate"):
             io.read_interaction_log(path)
 
+    def test_self_selection_rejected(self, tmp_path):
+        path = tmp_path / "self.csv"
+        path.write_text(
+            "iteration,particle,best_neighbor\n1,0,1\n1,1,1\n"
+        )
+        with pytest.raises(InputError, match=r"self\.csv:3: particle 1 selects itself"):
+            io.read_interaction_log(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b,c\n1,0,1\n")
@@ -283,6 +291,16 @@ class TestCliCommands:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["analyze", str(empty)]) == 2
+
+    def test_self_selecting_log_exits_two(self, tmp_path):
+        logdir = tmp_path / "logs"
+        logdir.mkdir()
+        (logdir / "log.csv").write_text(
+            "iteration,particle,best_neighbor\n1,0,0\n1,1,0\n1,2,0\n"
+        )
+        assert main(["analyze", str(logdir), "--out", str(tmp_path / "a")]) == 2
+        assert main(["destruction", str(logdir / "log.csv"),
+                     "--out", str(tmp_path / "d")]) == 2
 
     def test_destruction_surface(self, tiny_config, tmp_path):
         run_out = tmp_path / "run"

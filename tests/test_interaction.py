@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle import oracle_curve, oracle_id, oracle_weights
+from oracle import oracle_components, oracle_curve, oracle_id, oracle_weights
 from swarmnet.errors import InputError
 from swarmnet.interaction import (
+    WeightedNetwork,
     area_under_destruction,
     build_network,
     clip_windows,
-    count_components,
     destruction_curve,
     diversity_series,
     interaction_diversity,
@@ -31,6 +33,13 @@ def _random_log(rng, n=None, total=None):
     idx = np.arange(n)
     # avoid self-selection by skipping over the own index
     return InteractionLog(np.where(draws >= idx, draws + 1, draws))
+
+
+def _oracle_components_at(log, t, t_w, tau):
+    """BFS component count over the oracle edges kept at threshold tau."""
+    weights = oracle_weights(log.choices.tolist(), t, t_w)
+    kept = [pair for pair, w in weights.items() if w / (2 * t_w) >= tau]
+    return oracle_components(log.n, kept)
 
 
 class TestBuildNetwork:
@@ -105,27 +114,23 @@ class TestBuildNetwork:
 
 
 class TestComponents:
+    """Single points of the destruction curve against the BFS oracle."""
+
     def test_zero_threshold_is_unfiltered(self):
-        net = build_network(STAR, 1, 1)
-        assert count_components(net, 0.0) == 1
+        curve = destruction_curve(build_network(STAR, 1, 1))
+        assert curve.thresholds[0] == 0.0
+        assert curve.components[0] == _oracle_components_at(STAR, 1, 1, 0.0) == 1
 
     def test_star_at_full_threshold(self):
-        net = build_network(STAR, 1, 1)
-        assert count_components(net, 1.0) == 3
+        curve = destruction_curve(build_network(STAR, 1, 1))
+        assert curve.thresholds[-1] == 1.0
+        assert curve.components[-1] == _oracle_components_at(STAR, 1, 1, 1.0) == 3
 
     def test_empty_network_all_singletons(self):
-        log = _log([[1, 0, 3, 2, 0]])
-        net = build_network(log, 1, 1)
-        empty = type(net)(5, 1, np.zeros((5, 5), dtype=np.int64))
-        for tau in (0.0, 0.5, 1.0):
-            assert count_components(empty, tau) == 5
-
-    def test_threshold_range_checked(self):
-        net = build_network(STAR, 1, 1)
-        with pytest.raises(InputError):
-            count_components(net, -0.1)
-        with pytest.raises(InputError):
-            count_components(net, 1.1)
+        empty = WeightedNetwork(5, 1, np.zeros((5, 5), dtype=np.int64))
+        curve = destruction_curve(empty)
+        assert np.array_equal(curve.thresholds, [0.0, 0.5, 1.0])
+        assert list(curve.components) == oracle_curve(5, {}, 1) == [5, 5, 5]
 
 
 class TestDestructionCurve:
@@ -144,11 +149,10 @@ class TestDestructionCurve:
             log = _random_log(rng, n=8)
             total = len(log)
             t_w = int(rng.integers(1, total + 1))
-            net = build_network(log, total, t_w)
-            curve = destruction_curve(net)
+            curve = destruction_curve(build_network(log, total, t_w))
             assert len(curve.components) == 2 * t_w + 1
             for tau, count in zip(curve.thresholds, curve.components):
-                assert count == count_components(net, float(tau))
+                assert count == _oracle_components_at(log, total, t_w, float(tau))
 
     def test_monotone_non_decreasing(self):
         rng = np.random.default_rng(7)
@@ -274,3 +278,64 @@ class TestSeries:
     def test_bad_stride(self):
         with pytest.raises(InputError):
             diversity_series(STAR, (1,), stride=0)
+
+    def test_bad_window_set(self):
+        with pytest.raises(InputError, match="non-empty"):
+            diversity_series(STAR, (), 1)
+        with pytest.raises(InputError, match="window 0"):
+            diversity_series(STAR, (0,), 1)
+
+
+@st.composite
+def _logs(draw):
+    """Self-free logs: n in 3..12 particles over 1..40 iterations."""
+    n = draw(st.integers(3, 12))
+    total = draw(st.integers(1, 40))
+    row = st.lists(st.integers(0, n - 2), min_size=n, max_size=n)
+    draws = np.array(draw(st.lists(row, min_size=total, max_size=total)),
+                     dtype=np.int64)
+    idx = np.arange(n)
+    return InteractionLog(np.where(draws >= idx, draws + 1, draws))
+
+
+@st.composite
+def _series_cases(draw):
+    """A log, a window tuple reaching past T with a repeat, and a stride."""
+    log = draw(_logs())
+    total = len(log)
+    windows = draw(st.lists(st.integers(1, total + 5), min_size=1, max_size=4))
+    windows.append(draw(st.sampled_from(windows)))
+    stride = draw(st.integers(1, total + 1))
+    return log, tuple(windows), stride
+
+
+@st.composite
+def _network_cases(draw):
+    log = draw(_logs())
+    t = draw(st.integers(1, len(log)))
+    return log, t, draw(st.integers(1, t))
+
+
+class TestProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(_series_cases())
+    def test_series_matches_oracle_bitwise(self, case):
+        log, windows, stride = case
+        iters, values = diversity_series(log, windows, stride)
+        choices = log.choices.tolist()
+        for t, value in zip(iters.tolist(), values.tolist()):
+            assert value == oracle_id(choices, t, clip_windows(windows, t))
+            assert 0.0 <= value <= 1.0 - 1.0 / log.n
+
+    @settings(derandomize=True, deadline=None)
+    @given(_network_cases())
+    def test_network_and_curve_match_oracle(self, case):
+        log, t, t_w = case
+        net = build_network(log, t, t_w)
+        assert net.total_weight() == log.n * t_w
+        curve = destruction_curve(net)
+        expected = oracle_curve(
+            log.n, oracle_weights(log.choices.tolist(), t, t_w), t_w
+        )
+        assert list(curve.components) == expected
+        assert np.all(np.diff(curve.components) >= 0)
