@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import interaction, pso, topology
 from .benchmarks import FunctionId, ObjectiveSpec, make_objective
@@ -148,7 +148,7 @@ def _confidence_interval(values: np.ndarray) -> tuple[float, float, bool]:
     if n < 2:
         return mean, mean, True
     sd = float(values.std(ddof=1))
-    half = stats.t.ppf(0.975, n - 1) * sd / np.sqrt(n)
+    half = stdtrit(n - 1, 0.975) * sd / np.sqrt(n)
     return mean - half, mean + half, False
 
 
@@ -200,7 +200,10 @@ def correlate(x, y) -> float | None:
 
 def spearman(x, y) -> float | None:
     """Rank correlation: average ranks on ties, then Pearson on the ranks."""
-    return correlate(stats.rankdata(x), stats.rankdata(y))
+    # scipy.stats takes about a second to import; keep it off the CLI's path.
+    from scipy.stats import rankdata
+
+    return correlate(rankdata(x), rankdata(y))
 
 
 def _run_cell_task(args):

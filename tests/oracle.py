@@ -5,9 +5,58 @@ loop over iterations and pairs, components by breadth-first traversal.
 The diversity formula follows the same association order as the package
 (sum areas, one division, one subtraction) so agreement is exact, while
 every intermediate quantity is produced by independent code.
+
+`oracle_read_log` is the row-by-row log reader the package used before its
+column-wise one, on plain lists; it raises LogError with the text the
+package's InputError carries.
 """
 
+import csv
 from collections import deque
+
+LOG_HEADER = ["iteration", "particle", "best_neighbor"]
+
+
+class LogError(Exception):
+    """A log the reference reader rejects; the message names file and line."""
+
+
+def oracle_read_log(path):
+    """choices[t-1][i] of a selection log, checked one row at a time."""
+    entries = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != LOG_HEADER:
+            raise LogError(f"{path}:1: expected header {LOG_HEADER}, got {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                raise LogError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
+            try:
+                t, i, b = (int(v) for v in row)
+            except ValueError:
+                raise LogError(f"{path}:{line_no}: non-integer field in {row}")
+            if t < 1 or i < 0 or b < 0:
+                raise LogError(f"{path}:{line_no}: out-of-range values {row}")
+            entries.append((t, i, b, line_no))
+    if not entries:
+        raise LogError(f"{path}:2: log contains no selection events")
+    total = max(t for t, _, _, _ in entries)
+    n = max(i for _, i, _, _ in entries) + 1
+    choices = [[None] * n for _ in range(total)]
+    for t, i, b, line_no in entries:
+        if i >= n or b >= n:
+            raise LogError(f"{path}:{line_no}: particle index out of range in {(t, i, b)}")
+        if b == i:
+            raise LogError(f"{path}:{line_no}: particle {i} selects itself at iteration {t}")
+        if choices[t - 1][i] is not None:
+            raise LogError(f"{path}:{line_no}: duplicate event for iteration {t}, particle {i}")
+        choices[t - 1][i] = b
+    for t, row in enumerate(choices, start=1):
+        for i, b in enumerate(row):
+            if b is None:
+                raise LogError(f"{path}: missing event for iteration {t}, particle {i}")
+    return choices
 
 
 def oracle_weights(choices, t, t_w):

@@ -1,15 +1,22 @@
 """Sweep-harness, statistics, and seed fan-out checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+import swarmnet
 from swarmnet.benchmarks import FunctionId, ObjectiveSpec
 from swarmnet.errors import ConfigurationError, InputError
 from swarmnet.experiment import (
     ExperimentConfig,
     TopologySpec,
+    _confidence_interval,
     correlate,
     run_cell,
     run_sweep,
@@ -153,6 +160,26 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             summarize([])
+
+    def test_interval_equals_t_ppf_bound_bitwise(self):
+        rng = np.random.default_rng(7)
+        for n in range(2, 51):
+            values = rng.random(n)
+            mean = float(values.mean())
+            half = stats.t.ppf(0.975, n - 1) * float(values.std(ddof=1)) / np.sqrt(n)
+            assert _confidence_interval(values) == (mean - half, mean + half, False)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second per command; only spearman loads it.
+    package_root = str(Path(swarmnet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, swarmnet.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestCorrelation:
