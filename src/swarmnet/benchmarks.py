@@ -135,10 +135,6 @@ def generate_objective(spec: ObjectiveSpec) -> ObjectiveData:
     return ObjectiveData(shift, permutation, rotations)
 
 
-def _rastrigin(z: np.ndarray) -> np.ndarray:
-    return np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, axis=1)
-
-
 def _ackley(z: np.ndarray) -> np.ndarray:
     rms = np.sqrt(np.mean(z * z, axis=1))
     cos_mean = np.mean(np.cos(2.0 * np.pi * z), axis=1)
@@ -151,26 +147,66 @@ def _elliptic(z: np.ndarray) -> np.ndarray:
     return np.sum(weights * z * z, axis=1)
 
 
-def _schwefel_1_2(z: np.ndarray) -> np.ndarray:
-    partial = np.cumsum(z, axis=1)
-    return np.sum(partial * partial, axis=1)
+# Row-local objectives write f(xs) into out, one row at a time; each uses
+# two temporaries of the block's size at most.
+def _sphere_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
+    np.sum(np.multiply(xs, xs), axis=1, out=out)
 
 
-def evaluate_many(spec: ObjectiveSpec, data: ObjectiveData, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a batch of row vectors; returns one fitness per row."""
+def _rastrigin_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
+    # z*z - 10*cos(2*pi*z) + 10, in that order.
+    z = np.subtract(xs, shift)
+    c = np.multiply(2.0 * np.pi, z)
+    np.cos(c, out=c)
+    c *= 10.0
+    z *= z
+    z -= c
+    z += 10.0
+    np.sum(z, axis=1, out=out)
+
+
+def _schwefel_1_2_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
+    z = np.subtract(xs, shift)
+    np.cumsum(z, axis=1, out=z)
+    z *= z
+    np.sum(z, axis=1, out=out)
+
+
+_ROW_LOCAL = {
+    FunctionId.SPHERE: _sphere_rows,
+    FunctionId.F2: _rastrigin_rows,
+    FunctionId.F19: _schwefel_1_2_rows,
+}
+
+
+def evaluate_many(spec: ObjectiveSpec, data: ObjectiveData, xs: np.ndarray,
+                  rows=None) -> np.ndarray:
+    """Evaluate a batch of row vectors; returns one fitness per row.
+
+    `rows`, when given, runs fn(lo, hi) over row blocks that cover xs and
+    may run them at once; the row-local functions (sphere, F2, F19) then
+    work block by block. F6 and F14 ignore it: their rotations stay one
+    matrix product over all rows. The result is the same either way.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != spec.dimension:
         raise InputError(
             f"expected points of dimension {spec.dimension}, got shape {xs.shape}"
         )
     fid = spec.function_id
-    if fid is FunctionId.SPHERE:
-        return np.sum(xs * xs, axis=1)
+    kernel = _ROW_LOCAL.get(fid)
+    if kernel is not None:
+        out = np.empty(len(xs))
+
+        def block(lo: int, hi: int) -> None:
+            kernel(xs[lo:hi], data.shift, out[lo:hi])
+
+        if rows is None:
+            block(0, len(xs))
+        else:
+            rows(block)
+        return out
     z = xs - data.shift
-    if fid is FunctionId.F2:
-        return _rastrigin(z)
-    if fid is FunctionId.F19:
-        return _schwefel_1_2(z)
     zp = z[:, data.permutation]
     m = spec.group_size
     if fid is FunctionId.F6:
@@ -214,8 +250,8 @@ class Objective:
     def evaluate(self, x) -> float:
         return evaluate(self.spec, self.data, x)
 
-    def evaluate_many(self, xs) -> np.ndarray:
-        return evaluate_many(self.spec, self.data, xs)
+    def evaluate_many(self, xs, rows=None) -> np.ndarray:
+        return evaluate_many(self.spec, self.data, xs, rows)
 
 
 def make_objective(spec: ObjectiveSpec) -> Objective:

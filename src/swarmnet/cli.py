@@ -17,7 +17,7 @@ from pathlib import Path
 from . import interaction, io
 from .config import load_config
 from .errors import ConfigurationError, SwarmnetError
-from .experiment import ExperimentConfig, run_cell, run_sweep
+from .experiment import ExperimentConfig, available_cpus, run_cell, run_sweep
 
 log = logging.getLogger("swarmnet")
 
@@ -79,7 +79,8 @@ def cmd_run(args) -> int:
             "run executes a single cell; configure exactly one topology "
             f"(got {len(config.topologies)})"
         )
-    result = run_cell(config, config.topologies[0], repetition=0)
+    result = run_cell(config, config.topologies[0], repetition=0,
+                      threads=available_cpus())
     _write_cell(Path(args.out), result)
     status = (
         f"converged at {result.trace.converged_at}"

@@ -12,6 +12,7 @@ keys results by cell identity and is order-independent.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -114,16 +115,28 @@ class SummaryRow:
     degenerate_interval: bool = False
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_cell(config: ExperimentConfig, spec: TopologySpec,
-             repetition: int) -> CellResult:
-    """Execute one seeded run and measure its diversity and improvement."""
+             repetition: int, threads: int = 1) -> CellResult:
+    """Execute one seeded run and measure its diversity and improvement.
+
+    `threads` bounds the threads the PSO run splits its rows over; the
+    result does not depend on it.
+    """
     graph = topology.build_topology(
         spec.kind, config.params.swarm_size, spec.k
     )
     seed = config.seed_for(repetition)
     params = dataclasses.replace(config.params, rng_seed=seed)
     objective = make_objective(config.objective)
-    trace, log = pso.run(objective, graph, params)
+    trace, log = pso.run(objective, graph, params, threads=threads)
     iters, values = interaction.diversity_series(
         log, config.windows, config.id_sample_stride
     )
@@ -207,8 +220,8 @@ def spearman(x, y) -> float | None:
 
 
 def _run_cell_task(args):
-    config, spec, repetition = args
-    return run_cell(config, spec, repetition)
+    config, spec, repetition, threads = args
+    return run_cell(config, spec, repetition, threads=threads)
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1
@@ -217,9 +230,11 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1
 
     Results come back in deterministic (topology order, repetition) order
     regardless of worker scheduling, so downstream files never depend on
-    completion order.
+    completion order. Each of the `jobs` workers gives its cell an equal
+    share of the available CPUs as threads.
     """
     config.validate()
+    threads = max(1, available_cpus() // max(1, jobs))
     tasks = [
         (i, spec, rep)
         for i, spec in enumerate(config.topologies)
@@ -229,14 +244,14 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                pool.submit(_run_cell_task, (config, spec, rep)): (i, rep)
+                pool.submit(_run_cell_task, (config, spec, rep, threads)): (i, rep)
                 for i, spec, rep in tasks
             }
             for future, key in futures.items():
                 by_key[key] = future.result()
     else:
         for i, spec, rep in tasks:
-            by_key[(i, rep)] = run_cell(config, spec, rep)
+            by_key[(i, rep)] = run_cell(config, spec, rep, threads=threads)
     results = [
         by_key[(i, rep)]
         for i in range(len(config.topologies))

@@ -193,6 +193,7 @@ def read_interaction_log(path) -> InteractionLog:
         header = next(csv.reader(fh), None)
         body = fh.read() if header == LOG_HEADER else ""
     events = _loadtxt_events(body)
+    del body  # as large as the file; the checks below peak without it
     oversized = {}
     if events is None:
         events, oversized = _scan_events(path)

@@ -15,12 +15,24 @@ from the swarm state at the end of iteration t-1. A single seeded PCG64
 stream drives the run; uniform draws are ordered by (iteration, particle,
 dimension, r1-before-r2), so a (seed, config) pair fully determines every
 trace value.
+
+Row blocks: above a fixed size (`_THREAD_FLOOR` coordinates per step) a
+run splits the swarm into contiguous row blocks, one per thread, and works
+on them at once. This cannot change a single bit of the result because
+every operation split this way is row-local: a row's new velocity,
+position and fitness depend only on that row's inputs, in the same
+evaluation order as the whole-swarm expression. The uniform draw for a
+step is made whole, on the calling thread, before any block starts, and
+no BLAS call (the rotations of F6 and F14) is ever split, since BLAS does
+not promise the same per-row result for different row counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,7 +85,10 @@ class PsoParams:
 
 @dataclass
 class Swarm:
-    """Whole-swarm state stored as stacked arrays, one row per particle."""
+    """Whole-swarm state stored as stacked arrays, one row per particle.
+
+    `step` updates the four arrays in place, so they must not share memory.
+    """
 
     positions: np.ndarray      # (n, d)
     velocities: np.ndarray     # (n, d)
@@ -154,28 +169,89 @@ def _check_finite(fitness: np.ndarray) -> None:
         )
 
 
+# Coordinates per step (n*d) from which a run splits its rows over
+# threads. Below it, handing blocks to a thread costs more than it saves:
+# the threads pass the GIL back and forth between numpy calls. On 2 CPUs,
+# n = 100, two blocks break even at about 2^15 on F2 and 2^16 on the other
+# functions, and F2 steps take 0.63x as long at d = 1000.
+_THREAD_FLOOR = 1 << 16
+
+
+class _Workspace:
+    """Buffers one run's steps reuse, and the row blocks that share them."""
+
+    def __init__(self, n: int, d: int, blocks: int = 1, pool=None):
+        self.u = np.empty((n, d, 2))
+        self.a = np.empty((n, d))
+        self.b = np.empty((n, d))
+        self.nbest = np.empty((n, d))
+        self.bounds = [(n * j // blocks, n * (j + 1) // blocks) for j in range(blocks)]
+        self.pool = pool
+
+    def rows(self, fn) -> None:
+        """Call fn(lo, hi) on every row block, the first on this thread,
+        and return once all of them are done."""
+        futures = [self.pool.submit(fn, lo, hi) for lo, hi in self.bounds[1:]]
+        try:
+            fn(*self.bounds[0])
+        finally:
+            for future in futures:
+                future.exception()  # wait, even when this thread's block failed
+        for future in futures:
+            future.result()
+
+
+def _move_rows(swarm: Swarm, params: PsoParams, choices: np.ndarray,
+               work: _Workspace, lo: int, hi: int) -> None:
+    """Velocity and position update of rows lo..hi, in place.
+
+    The order of operations is that of
+    chi * (v + c1*r1*(pbest - x) + c2*r2*(nbest - x)), so every bit of the
+    result is the same as from the whole-swarm expression.
+    """
+    x = swarm.positions[lo:hi]
+    v = swarm.velocities[lo:hi]
+    u = work.u[lo:hi]
+    a = work.a[lo:hi]
+    b = work.b[lo:hi]
+    nbest = work.nbest[lo:hi]
+    np.take(swarm.pbest, choices[lo:hi], axis=0, out=nbest)
+    np.multiply(params.c1, u[..., 0], out=a)
+    np.subtract(swarm.pbest[lo:hi], x, out=b)
+    a *= b
+    v += a
+    np.multiply(params.c2, u[..., 1], out=a)
+    np.subtract(nbest, x, out=b)
+    a *= b
+    v += a
+    v *= params.chi
+    x += v
+
+
 def step(swarm: Swarm, g: topo.TopologyGraph, params: PsoParams,
-         objective, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+         objective, rng: np.random.Generator,
+         work: _Workspace | None = None) -> tuple[np.ndarray, float]:
     """Advance the swarm one iteration in place.
 
     Returns (choice vector, new global best fitness). Personal bests update
-    on strict improvement only.
+    on strict improvement only. `run` passes its workspace; without one the
+    step allocates its own buffers and works on one row block.
     """
     n, d = swarm.positions.shape
+    if work is None:
+        work = _Workspace(n, d)
     choices = _best_neighbors(swarm, g)
-    u = rng.random((n, d, 2))
-    nbest = swarm.pbest[choices]
-    swarm.velocities = params.chi * (
-        swarm.velocities
-        + params.c1 * u[..., 0] * (swarm.pbest - swarm.positions)
-        + params.c2 * u[..., 1] * (nbest - swarm.positions)
-    )
-    swarm.positions = swarm.positions + swarm.velocities
-    fitness = objective.evaluate_many(swarm.positions)
+    rng.random((n, d, 2), out=work.u)
+    work.rows(partial(_move_rows, swarm, params, choices, work))
+    # One block needs no runner, so any evaluate_many(xs) serves there.
+    if len(work.bounds) == 1:
+        fitness = objective.evaluate_many(swarm.positions)
+    else:
+        fitness = objective.evaluate_many(swarm.positions, rows=work.rows)
     _check_finite(fitness)
     improved = fitness < swarm.pbest_fitness
-    swarm.pbest = np.where(improved[:, None], swarm.positions, swarm.pbest)
-    swarm.pbest_fitness = np.where(improved, fitness, swarm.pbest_fitness)
+    np.copyto(swarm.pbest, swarm.positions, where=improved[:, None])
+    np.copyto(swarm.pbest_fitness, fitness, where=improved)
     return choices, swarm.global_best_fitness()
 
 
@@ -186,22 +262,30 @@ def initialize_swarm(objective, params: PsoParams, rng: np.random.Generator) -> 
     positions = rng.uniform(lower, upper, (params.swarm_size, objective.dimension))
     fitness = objective.evaluate_many(positions)
     _check_finite(fitness)
-    return Swarm(positions, np.zeros_like(positions), positions.copy(), fitness)
+    return Swarm(positions, np.zeros_like(positions), positions.copy(), fitness.copy())
 
 
-def run(objective, g: topo.TopologyGraph, params: PsoParams) -> tuple[RunTrace, InteractionLog]:
+def run(objective, g: topo.TopologyGraph, params: PsoParams,
+        threads: int = 1) -> tuple[RunTrace, InteractionLog]:
     """Run constricted PSO until t_max or convergence.
 
     Convergence is declared at iteration t_s when the relative improvement
     stays below epsilon for every iteration in (t_s, t_s + delta_window];
     the run then stops at t_s + delta_window. The trace and log cover
     exactly the executed iterations 1..T.
+
+    Above `_THREAD_FLOOR` coordinates, each step splits its rows over up to
+    `threads` threads; the result is the same at every thread count.
     """
     params.validate()
     if g.n != params.swarm_size:
         raise ConfigurationError(
             f"topology size {g.n} does not match swarm_size {params.swarm_size}"
         )
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    n, d = params.swarm_size, objective.dimension
+    blocks = min(threads, n) if n * d >= _THREAD_FLOOR else 1
     rng = np.random.default_rng(params.rng_seed)
     swarm = initialize_swarm(objective, params, rng)
     f_prev = swarm.global_best_fitness()
@@ -212,22 +296,27 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams) -> tuple[RunTrace, 
     last_improve = 0
     converged_at: int | None = None
 
-    for t in range(1, params.t_max + 1):
-        try:
-            choices, f_g = step(swarm, g, params, objective, rng)
-        except NonFiniteFitnessError as exc:
-            raise NonFiniteFitnessError(f"iteration {t}: {exc}") from exc
-        f_delta = fitness_improvement(f_prev, f_g)
-        fg_hist.append(f_g)
-        fd_hist.append(f_delta)
-        choice_hist.append(choices)
-        f_prev = f_g
-        if f_delta >= params.epsilon:
-            last_improve = t
-        t_s = max(last_improve, 1)
-        if t - t_s >= params.delta_window:
-            converged_at = t_s
-            break
+    # The pool lives for this run only: a module-level pool would be
+    # inherited without its threads by every process a sweep forks. It
+    # starts no thread while there is a single block.
+    with ThreadPoolExecutor(max_workers=max(1, blocks - 1)) as pool:
+        work = _Workspace(n, d, blocks, pool)
+        for t in range(1, params.t_max + 1):
+            try:
+                choices, f_g = step(swarm, g, params, objective, rng, work)
+            except NonFiniteFitnessError as exc:
+                raise NonFiniteFitnessError(f"iteration {t}: {exc}") from exc
+            f_delta = fitness_improvement(f_prev, f_g)
+            fg_hist.append(f_g)
+            fd_hist.append(f_delta)
+            choice_hist.append(choices)
+            f_prev = f_g
+            if f_delta >= params.epsilon:
+                last_improve = t
+            t_s = max(last_improve, 1)
+            if t - t_s >= params.delta_window:
+                converged_at = t_s
+                break
 
     trace = RunTrace(
         global_best_fitness=np.array(fg_hist),

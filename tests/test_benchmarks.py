@@ -201,3 +201,22 @@ class TestBatchEvaluation:
                     assert obj.evaluate(row) == pytest.approx(value, rel=1e-12)
                 else:
                     assert obj.evaluate(row) == value
+
+    def test_row_blocks_do_not_change_any_bit(self):
+        # A row-block runner may split the rows anywhere: sphere, F2 and F19
+        # are row-local, and F6 and F14 never split their matrix products.
+        calls = []
+
+        def uneven_blocks(fn):
+            for lo, hi in ((0, 1), (1, 4), (4, 4), (4, 7)):
+                calls.append((lo, hi))
+                fn(lo, hi)
+
+        for fid in SHIFTED + [FunctionId.SPHERE]:
+            obj = make_objective(_spec(fid, dimension=10, group_size=5))
+            xs = np.random.default_rng(12).uniform(*obj.bounds, (7, 10))
+            whole = obj.evaluate_many(xs)
+            calls.clear()
+            blocked = obj.evaluate_many(xs, rows=uneven_blocks)
+            assert blocked.tobytes() == whole.tobytes()
+            assert bool(calls) == (fid not in (FunctionId.F6, FunctionId.F14))

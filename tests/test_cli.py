@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from swarmnet import io
+from swarmnet import experiment, io, pso
 from swarmnet.benchmarks import FunctionId
 from swarmnet.cli import main
 from swarmnet.config import (
@@ -253,6 +253,37 @@ class TestCliCommands:
                 assert (cell / "log.csv").is_file()
                 assert (cell / "trace.csv").is_file()
                 assert (cell / "diversity.csv").is_file()
+
+    def test_sweep_tree_does_not_depend_on_jobs(self, tmp_path, monkeypatch):
+        # 100 particles at d=700 are above the size where a run splits its
+        # rows over threads. With two CPUs, --jobs 1 gives each cell two
+        # threads and --jobs 2 gives each of the two workers one.
+        monkeypatch.setattr(experiment, "available_cpus", lambda: 2)
+        splits = []
+        rows = pso._Workspace.rows
+
+        def spy(work, fn):
+            splits.append(len(work.bounds))
+            return rows(work, fn)
+
+        monkeypatch.setattr(pso._Workspace, "rows", spy)
+        settings = ["function=f2", "dimension=700", "swarm_size=100",
+                    "t_max=6", "topologies=ring", "repetitions=2",
+                    "windows=2,4", "id_sample_stride=3"]
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            args = ["sweep", "--jobs", jobs, "--out", str(out)]
+            for item in settings:
+                args += ["--set", item]
+            assert main(args) == 0
+            trees.append({
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()
+            })
+        assert len(trees[0]) == 7
+        assert trees[0] == trees[1]
+        assert set(splits) == {2}
 
     def test_analyze_reproduces_online_series(self, tiny_config, tmp_path):
         run_out = tmp_path / "run"

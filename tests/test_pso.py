@@ -1,6 +1,8 @@
 """Constricted swarm-update and convergence-rule checks."""
 
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from swarmnet.pso import (
     run,
     step,
 )
+from swarmnet.pso import _Workspace
 from swarmnet.topology import TopologyKind, build_topology
 
 
@@ -183,6 +186,47 @@ class TestStep:
         assert np.all(swarm.pbest_fitness == 3.0)
 
 
+class TestBufferOwnership:
+    def test_initial_fitness_is_a_copy(self):
+        returned = []
+
+        class Remembering:
+            dimension = 2
+            bounds = (-1.0, 1.0)
+
+            def evaluate_many(self, xs):
+                returned.append(np.sum(xs * xs, axis=1))
+                return returned[-1]
+
+        swarm = initialize_swarm(Remembering(), PsoParams(swarm_size=4),
+                                 np.random.default_rng(3))
+        assert not np.shares_memory(swarm.pbest_fitness, returned[0])
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_swarm_and_workspace_share_no_memory(self, blocks):
+        objective = make_objective(ObjectiveSpec(FunctionId.F2, dimension=5))
+        g = build_topology(TopologyKind.RING, 7)
+        params = PsoParams(swarm_size=7)
+        rng = np.random.default_rng(4)
+        swarm = initialize_swarm(objective, params, rng)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            work = _Workspace(7, 5, blocks, pool)
+            for _ in range(4):
+                step(swarm, g, params, objective, rng, work)
+        arrays = {
+            "positions": swarm.positions,
+            "velocities": swarm.velocities,
+            "pbest": swarm.pbest,
+            "pbest_fitness": swarm.pbest_fitness,
+            "u": work.u,
+            "a": work.a,
+            "b": work.b,
+            "nbest": work.nbest,
+        }
+        for (name_a, a), (name_b, b) in itertools.combinations(arrays.items(), 2):
+            assert not np.shares_memory(a, b), (name_a, name_b)
+
+
 class _ExplodingObjective:
     """Finite at initialization, non-finite afterwards."""
 
@@ -281,6 +325,11 @@ class TestRun:
         params = PsoParams(swarm_size=4, t_max=10, delta_window=5)
         with pytest.raises(NonFiniteFitnessError, match="iteration 1"):
             run(_ExplodingObjective(), g, params)
+
+    def test_threads_must_be_positive(self):
+        g = build_topology(TopologyKind.RING, 6)
+        with pytest.raises(ConfigurationError, match="threads"):
+            run(self._sphere(), g, PsoParams(swarm_size=6, t_max=5), threads=0)
 
     def test_log_choices_are_neighbors(self):
         g = build_topology(TopologyKind.VON_NEUMANN, 9)
