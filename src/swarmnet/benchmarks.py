@@ -74,65 +74,12 @@ class ObjectiveSpec:
                     f"got m={m}, d={self.dimension}"
                 )
 
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return BOUNDS[self.function_id]
-
-    @property
-    def num_rotated_groups(self) -> int:
-        if self.function_id is FunctionId.F6:
-            return 1
-        if self.function_id is FunctionId.F14:
-            return self.dimension // self.group_size
-        return 0
-
-
-@dataclass(frozen=True)
-class ObjectiveData:
-    """Generated instance data: shift vector, permutation, rotation matrices.
-
-    Immutable after generation; safe to share across workers.
-    """
-
-    shift: np.ndarray
-    permutation: np.ndarray
-    rotations: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        self.shift.setflags(write=False)
-        self.permutation.setflags(write=False)
-        for rot in self.rotations:
-            rot.setflags(write=False)
-
 
 def _random_rotation(rng: np.random.Generator, m: int) -> np.ndarray:
     """Orthogonal matrix from QR factorization of a Gaussian matrix."""
     q, r = np.linalg.qr(rng.standard_normal((m, m)))
     # Fix the column signs so the factorization is unique.
     return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-
-
-def generate_objective(spec: ObjectiveSpec) -> ObjectiveData:
-    """Deterministically generate instance data from ``spec.domain_seed``.
-
-    The sphere control function is unshifted and unrotated; all other
-    functions draw a shift uniformly from the central 80% of the domain,
-    a permutation of the coordinate indices, and one orthogonal matrix per
-    rotated group.
-    """
-    spec.validate()
-    d = spec.dimension
-    if spec.function_id is FunctionId.SPHERE:
-        return ObjectiveData(np.zeros(d), np.arange(d), ())
-    rng = np.random.default_rng(spec.domain_seed)
-    lower, upper = spec.bounds
-    shift = rng.uniform(_SHIFT_MARGIN * lower, _SHIFT_MARGIN * upper, d)
-    permutation = rng.permutation(d)
-    rotations = tuple(
-        _random_rotation(rng, spec.group_size)
-        for _ in range(spec.num_rotated_groups)
-    )
-    return ObjectiveData(shift, permutation, rotations)
 
 
 def _ackley(z: np.ndarray) -> np.ndarray:
@@ -179,65 +126,24 @@ _ROW_LOCAL = {
 }
 
 
-def evaluate_many(spec: ObjectiveSpec, data: ObjectiveData, xs: np.ndarray,
-                  rows=None) -> np.ndarray:
-    """Evaluate a batch of row vectors; returns one fitness per row.
-
-    `rows`, when given, runs fn(lo, hi) over row blocks that cover xs and
-    may run them at once; the row-local functions (sphere, F2, F19) then
-    work block by block. F6 and F14 ignore it: their rotations stay one
-    matrix product over all rows. The result is the same either way.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != spec.dimension:
-        raise InputError(
-            f"expected points of dimension {spec.dimension}, got shape {xs.shape}"
-        )
-    fid = spec.function_id
-    kernel = _ROW_LOCAL.get(fid)
-    if kernel is not None:
-        out = np.empty(len(xs))
-
-        def block(lo: int, hi: int) -> None:
-            kernel(xs[lo:hi], data.shift, out[lo:hi])
-
-        if rows is None:
-            block(0, len(xs))
-        else:
-            rows(block)
-        return out
-    z = xs - data.shift
-    zp = z[:, data.permutation]
-    m = spec.group_size
-    if fid is FunctionId.F6:
-        value = 1e6 * _ackley(zp[:, :m] @ data.rotations[0].T)
-        if m < spec.dimension:
-            value = value + _ackley(zp[:, m:])
-        return value
-    if fid is FunctionId.F14:
-        value = np.zeros(len(xs))
-        for g, rot in enumerate(data.rotations):
-            value += _elliptic(zp[:, g * m : (g + 1) * m] @ rot.T)
-        return value
-    raise InputError(f"unknown function id {fid!r}")
-
-
-def evaluate(spec: ObjectiveSpec, data: ObjectiveData, x: np.ndarray) -> float:
-    """Evaluate a single point. f(x) >= 0 everywhere, with f(shift) = 0."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != spec.dimension:
-        raise InputError(
-            f"expected a vector of dimension {spec.dimension}, got shape {x.shape}"
-        )
-    return float(evaluate_many(spec, data, x[None, :])[0])
-
-
 @dataclass(frozen=True)
 class Objective:
-    """A spec bundled with its generated data, ready to evaluate."""
+    """One benchmark instance: its spec and generated shift, permutation
+    and rotation matrices.
+
+    Immutable after generation; safe to share across workers.
+    """
 
     spec: ObjectiveSpec
-    data: ObjectiveData
+    shift: np.ndarray
+    permutation: np.ndarray
+    rotations: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        self.shift.setflags(write=False)
+        self.permutation.setflags(write=False)
+        for rot in self.rotations:
+            rot.setflags(write=False)
 
     @property
     def dimension(self) -> int:
@@ -245,14 +151,71 @@ class Objective:
 
     @property
     def bounds(self) -> tuple[float, float]:
-        return self.spec.bounds
-
-    def evaluate(self, x) -> float:
-        return evaluate(self.spec, self.data, x)
+        return BOUNDS[self.spec.function_id]
 
     def evaluate_many(self, xs, rows=None) -> np.ndarray:
-        return evaluate_many(self.spec, self.data, xs, rows)
+        """Evaluate a batch of row vectors; returns one fitness per row.
+
+        f(x) >= 0 everywhere, with f(shift) = 0. `rows`, when given, runs
+        fn(lo, hi) over row blocks that cover xs and may run them at once;
+        the row-local functions (sphere, F2, F19) then work block by block.
+        F6 and F14 ignore it: their rotations stay one matrix product over
+        all rows. The result is the same either way.
+        """
+        spec = self.spec
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != spec.dimension:
+            raise InputError(
+                f"expected points of dimension {spec.dimension}, got shape {xs.shape}"
+            )
+        fid = spec.function_id
+        kernel = _ROW_LOCAL.get(fid)
+        if kernel is not None:
+            out = np.empty(len(xs))
+
+            def block(lo: int, hi: int) -> None:
+                kernel(xs[lo:hi], self.shift, out[lo:hi])
+
+            if rows is None:
+                block(0, len(xs))
+            else:
+                rows(block)
+            return out
+        z = xs - self.shift
+        zp = z[:, self.permutation]
+        m = spec.group_size
+        if fid is FunctionId.F6:
+            value = 1e6 * _ackley(zp[:, :m] @ self.rotations[0].T)
+            if m < spec.dimension:
+                value = value + _ackley(zp[:, m:])
+            return value
+        if fid is FunctionId.F14:
+            value = np.zeros(len(xs))
+            for g, rot in enumerate(self.rotations):
+                value += _elliptic(zp[:, g * m : (g + 1) * m] @ rot.T)
+            return value
+        raise InputError(f"unknown function id {fid!r}")
 
 
 def make_objective(spec: ObjectiveSpec) -> Objective:
-    return Objective(spec, generate_objective(spec))
+    """Deterministically generate an instance from ``spec.domain_seed``.
+
+    The sphere control function is unshifted and unrotated; all other
+    functions draw a shift uniformly from the central 80% of the domain,
+    a permutation of the coordinate indices, and one orthogonal matrix per
+    rotated group: one for F6, d/m for F14.
+    """
+    spec.validate()
+    d = spec.dimension
+    if spec.function_id is FunctionId.SPHERE:
+        return Objective(spec, np.zeros(d), np.arange(d), ())
+    rng = np.random.default_rng(spec.domain_seed)
+    lower, upper = BOUNDS[spec.function_id]
+    shift = rng.uniform(_SHIFT_MARGIN * lower, _SHIFT_MARGIN * upper, d)
+    permutation = rng.permutation(d)
+    groups = {FunctionId.F6: 1, FunctionId.F14: d // spec.group_size}
+    rotations = tuple(
+        _random_rotation(rng, spec.group_size)
+        for _ in range(groups.get(spec.function_id, 0))
+    )
+    return Objective(spec, shift, permutation, rotations)

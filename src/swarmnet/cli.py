@@ -18,6 +18,7 @@ from . import interaction, io
 from .config import load_config
 from .errors import ConfigurationError, SwarmnetError
 from .experiment import ExperimentConfig, available_cpus, run_cell, run_sweep
+from .topology import label
 
 log = logging.getLogger("swarmnet")
 
@@ -109,7 +110,7 @@ def cmd_sweep(args) -> int:
     io.write_summary(out / "summary.csv", summaries)
     for row in summaries:
         print(
-            f"{row.function_id.value} {row.topology_kind.value}_{row.k}: "
+            f"{row.function_id.value} {label(row.topology_kind, row.k)}: "
             f"mean ID {io.fmt(row.mean_id)} "
             f"({io.fmt(row.id_ci_low)}, {io.fmt(row.id_ci_high)}), "
             f"mean final fitness {io.fmt(row.mean_final_fitness)}"
@@ -137,9 +138,18 @@ def cmd_analyze(args) -> int:
     if not files:
         raise SwarmnetError(f"no logs found under {log_dir}")
     out = Path(args.out)
+    # A log's outputs go to its directory's mirror under --out, so no two
+    # logs may share a directory; check them all before writing anything.
+    first = {}
     for path in files:
-        rel = path.relative_to(log_dir)
-        dest = out / rel.parent
+        other = first.setdefault(path.parent, path)
+        if other != path:
+            raise SwarmnetError(
+                f"logs {other} and {path} would both write to "
+                f"{out / path.parent.relative_to(log_dir)}"
+            )
+    for path in files:
+        dest = out / path.parent.relative_to(log_dir)
         dest.mkdir(parents=True, exist_ok=True)
         logf = io.read_interaction_log(path)
         iters, values = interaction.diversity_series(

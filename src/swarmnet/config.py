@@ -47,8 +47,12 @@ def parse_config_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     raw: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -95,7 +95,7 @@ class CellResult:
 
     @property
     def label(self) -> str:
-        return f"{self.topology_kind.value}_{self.k}"
+        return topology.label(self.topology_kind, self.k)
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1
     share of the available CPUs as threads.
     """
     config.validate()
-    threads = max(1, available_cpus() // max(1, jobs))
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    threads = max(1, available_cpus() // jobs)
     tasks = [
         (i, spec, rep)
         for i, spec in enumerate(config.topologies)

@@ -61,14 +61,6 @@ class WeightedNetwork:
     def __post_init__(self):
         self.weights.setflags(write=False)
 
-    @property
-    def max_weight(self) -> int:
-        """Largest representable weight: mutual selection all window long."""
-        return 2 * self.t_w
-
-    def total_weight(self) -> int:
-        return int(self.weights.sum()) // 2
-
 
 @dataclass(frozen=True)
 class DestructionCurve:
@@ -159,7 +151,7 @@ def destruction_curve(net: WeightedNetwork) -> DestructionCurve:
     Every distinct subgraph appears on this grid because weights are
     integers in [0, 2*t_w]. Threshold 0 keeps the same edges as k = 1.
     """
-    w_max = net.max_weight
+    w_max = 2 * net.t_w  # mutual selection all window long
     forest = np.asarray(_forest_weights(net.weights), dtype=np.int64)
     # at_least[k] = number of forest edges with weight >= k
     at_least = np.bincount(forest, minlength=w_max + 1)[::-1].cumsum()[::-1]

@@ -39,8 +39,11 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _open_writer(path):
-    return open(path, "w", newline="")
+def _write_rows(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_interaction_log(path, log: InteractionLog) -> None:
@@ -49,7 +52,7 @@ def write_interaction_log(path, log: InteractionLog) -> None:
     The bytes are those of csv.writer (comma-separated, CRLF line ends); each
     iteration's rows are joined and written at once.
     """
-    with _open_writer(path) as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(",".join(LOG_HEADER) + "\r\n")
         for t, row in enumerate(log.choices.tolist(), start=1):
             fh.write("".join([f"{t},{i},{b}\r\n" for i, b in enumerate(row)]))
@@ -59,6 +62,10 @@ def _parse_error(path, line_no: int, detail: str) -> InputError:
     return InputError(f"{path}:{line_no}: {detail}")
 
 
+def _not_text(path, exc: UnicodeDecodeError) -> InputError:
+    return InputError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def _rows(path, header: list[str], width: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each record after a checked header.
 
@@ -66,13 +73,17 @@ def _rows(path, header: list[str], width: int) -> Iterator[tuple[int, list[str]]
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
-            raise _parse_error(path, 1, f"expected header {header}, got {got}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise _parse_error(path, line_no, f"expected {width} fields, got {len(row)}")
-            yield line_no, row
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise _parse_error(path, 1, f"expected header {header}, got {got}")
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise _parse_error(path, line_no,
+                                       f"expected {width} fields, got {len(row)}")
+                yield line_no, row
+        except UnicodeDecodeError as exc:
+            raise _not_text(path, exc) from None
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -190,8 +201,11 @@ def read_interaction_log(path) -> InteractionLog:
     row-by-row scan, which names the first bad line.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        body = fh.read() if header == LOG_HEADER else ""
+        try:
+            header = next(csv.reader(fh), None)
+            body = fh.read() if header == LOG_HEADER else ""
+        except UnicodeDecodeError as exc:
+            raise _not_text(path, exc) from None
     events = _loadtxt_events(body)
     del body  # as large as the file; the checks below peak without it
     oversized = {}
@@ -201,15 +215,11 @@ def read_interaction_log(path) -> InteractionLog:
 
 
 def write_run_trace(path, trace: RunTrace) -> None:
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for t in range(len(trace.global_best_fitness)):
-            writer.writerow([
-                t + 1,
-                fmt(trace.global_best_fitness[t]),
-                fmt(trace.fitness_improvement[t]),
-            ])
+    _write_rows(path, TRACE_HEADER, (
+        [t, fmt(f_g), fmt(f_d)]
+        for t, (f_g, f_d) in enumerate(
+            zip(trace.global_best_fitness, trace.fitness_improvement), start=1)
+    ))
 
 
 def read_run_trace(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,11 +237,8 @@ def read_run_trace(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def write_diversity_series(path, iterations: np.ndarray,
                            values: np.ndarray) -> None:
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIVERSITY_HEADER)
-        for t, v in zip(iterations, values):
-            writer.writerow([int(t), fmt(v)])
+    _write_rows(path, DIVERSITY_HEADER,
+                ([int(t), fmt(v)] for t, v in zip(iterations, values)))
 
 
 def read_diversity_series(path) -> tuple[np.ndarray, np.ndarray]:
@@ -247,31 +254,20 @@ def read_diversity_series(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_destruction_surface(path, curves: list[tuple[int, DestructionCurve]]) -> None:
     """Emit (window, threshold, component count) rows for a set of curves."""
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DESTRUCTION_HEADER)
-        for t_w, curve in curves:
-            for thr, count in zip(curve.thresholds, curve.components):
-                writer.writerow([int(t_w), fmt(thr), int(count)])
+    _write_rows(path, DESTRUCTION_HEADER, (
+        [int(t_w), fmt(thr), int(count)]
+        for t_w, curve in curves
+        for thr, count in zip(curve.thresholds, curve.components)
+    ))
 
 
 def write_summary(path, rows: list[SummaryRow]) -> None:
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.function_id.value,
-                r.topology_kind.value,
-                r.k,
-                r.repetitions,
-                fmt(r.mean_id),
-                fmt(r.id_ci_low),
-                fmt(r.id_ci_high),
-                fmt(r.mean_final_fitness),
-                fmt(r.mean_fdelta),
-                fmt(r.converged_fraction),
-            ])
+    _write_rows(path, SUMMARY_HEADER, (
+        [r.function_id.value, r.topology_kind.value, r.k, r.repetitions,
+         *map(fmt, (r.mean_id, r.id_ci_low, r.id_ci_high, r.mean_final_fitness,
+                    r.mean_fdelta, r.converged_fraction))]
+        for r in rows
+    ))
 
 
 def read_summary(path) -> list[SummaryRow]:
@@ -296,12 +292,17 @@ def read_summary(path) -> list[SummaryRow]:
 
 
 def find_log_files(root) -> list[Path]:
-    """All CSV files under root whose header marks them as selection logs."""
+    """All CSV files under root whose header marks them as selection logs.
+
+    A header that is not UTF-8 marks no log; such a file is skipped, as is
+    one that cannot be opened. A log with a bad byte past its header is
+    found, and its reader names the file.
+    """
     root = Path(root)
     found = []
     for path in sorted(root.rglob("*.csv")):
         try:
-            with open(path, newline="") as fh:
+            with open(path, newline="", errors="replace") as fh:
                 header = next(csv.reader(fh), None)
         except OSError:
             continue

@@ -95,14 +95,6 @@ class Swarm:
     pbest: np.ndarray          # (n, d)
     pbest_fitness: np.ndarray  # (n,)
 
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.positions.shape[1]
-
     def global_best_fitness(self) -> float:
         return float(self.pbest_fitness.min())
 
@@ -137,15 +129,9 @@ class RunTrace:
     final_fitness: float
 
 
-def best_neighbor(swarm: Swarm, g: topo.TopologyGraph, i: int) -> int:
-    """Neighbor of i with minimal personal-best fitness; ties go to the
-    smallest index. A particle's own pbest never competes."""
-    nbrs = topo.neighbors(g, i)
-    return int(nbrs[np.argmin(swarm.pbest_fitness[nbrs])])
-
-
 def _best_neighbors(swarm: Swarm, g: topo.TopologyGraph) -> np.ndarray:
-    """Vectorized best_neighbor for all particles at once."""
+    """Each particle's neighbor with minimal personal-best fitness; ties go
+    to the smallest index. A particle's own pbest never competes."""
     fits = swarm.pbest_fitness[g.adjacency]  # (n, k)
     return g.adjacency[np.arange(g.n), np.argmin(fits, axis=1)]
 

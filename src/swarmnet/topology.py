@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError
 
 
 class TopologyKind(str, Enum):
@@ -37,9 +37,10 @@ class TopologyGraph:
     def __post_init__(self):
         self.adjacency.setflags(write=False)
 
-    @property
-    def label(self) -> str:
-        return f"{self.kind.value}_{self.k}"
+
+def label(kind: TopologyKind, k: int) -> str:
+    """`<kind>_<k>`, the name of a topology's output directory."""
+    return f"{kind.value}_{k}"
 
 
 def _torus_grid(n: int) -> tuple[int, int]:
@@ -139,9 +140,3 @@ def _check_invariants(g: TopologyGraph) -> None:
             f"topology is disconnected: reached {len(seen)} of {g.n} nodes"
         )
 
-
-def neighbors(g: TopologyGraph, i: int) -> np.ndarray:
-    """Sorted neighbor indices of node i; never contains i."""
-    if not 0 <= i < g.n:
-        raise InputError(f"node index {i} out of range for n={g.n}")
-    return g.adjacency[i]

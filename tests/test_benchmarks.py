@@ -9,7 +9,6 @@ from swarmnet.benchmarks import (
     BOUNDS,
     FunctionId,
     ObjectiveSpec,
-    generate_objective,
     make_objective,
 )
 from swarmnet.errors import ConfigurationError, InputError
@@ -25,43 +24,43 @@ def _spec(fid, dimension=20, group_size=5, domain_seed=3):
 class TestGeneration:
     def test_shift_inside_central_band(self):
         for fid in SHIFTED:
-            data = generate_objective(_spec(fid))
+            obj = make_objective(_spec(fid))
             low, up = BOUNDS[fid]
-            assert np.all(data.shift > low)
-            assert np.all(data.shift < up)
-            assert np.all(np.abs(data.shift) <= 0.8 * up)
+            assert np.all(obj.shift > low)
+            assert np.all(obj.shift < up)
+            assert np.all(np.abs(obj.shift) <= 0.8 * up)
 
     def test_permutation_is_permutation(self):
-        data = generate_objective(_spec(FunctionId.F14))
-        assert sorted(data.permutation) == list(range(20))
+        obj = make_objective(_spec(FunctionId.F14))
+        assert sorted(obj.permutation) == list(range(20))
 
     def test_rotations_orthogonal(self):
-        data = generate_objective(_spec(FunctionId.F14))
-        assert len(data.rotations) == 4
-        for rot in data.rotations:
+        obj = make_objective(_spec(FunctionId.F14))
+        assert len(obj.rotations) == 4
+        for rot in obj.rotations:
             assert np.max(np.abs(rot @ rot.T - np.eye(5))) < 1e-12
 
     def test_same_seed_same_instance(self):
-        a = generate_objective(_spec(FunctionId.F6))
-        b = generate_objective(_spec(FunctionId.F6))
+        a = make_objective(_spec(FunctionId.F6))
+        b = make_objective(_spec(FunctionId.F6))
         assert np.array_equal(a.shift, b.shift)
         assert np.array_equal(a.permutation, b.permutation)
         assert np.array_equal(a.rotations[0], b.rotations[0])
 
     def test_different_seed_different_shift(self):
-        a = generate_objective(_spec(FunctionId.F2, domain_seed=1))
-        b = generate_objective(_spec(FunctionId.F2, domain_seed=2))
+        a = make_objective(_spec(FunctionId.F2, domain_seed=1))
+        b = make_objective(_spec(FunctionId.F2, domain_seed=2))
         assert not np.array_equal(a.shift, b.shift)
 
     def test_sphere_has_no_shift(self):
-        data = generate_objective(_spec(FunctionId.SPHERE))
-        assert np.all(data.shift == 0.0)
-        assert data.rotations == ()
+        obj = make_objective(_spec(FunctionId.SPHERE))
+        assert np.all(obj.shift == 0.0)
+        assert obj.rotations == ()
 
     def test_arrays_read_only(self):
-        data = generate_objective(_spec(FunctionId.F2))
+        obj = make_objective(_spec(FunctionId.F2))
         with pytest.raises(ValueError):
-            data.shift[0] = 1.0
+            obj.shift[0] = 1.0
 
 
 class TestValidation:
@@ -91,18 +90,18 @@ class TestValuesAtOptimum:
     def test_shifted_functions_vanish_at_shift(self):
         for fid in SHIFTED:
             obj = make_objective(_spec(fid, dimension=30, group_size=5))
-            assert abs(obj.evaluate(obj.data.shift)) <= 1e-9
+            assert abs(obj.evaluate_many(obj.shift[None])[0]) <= 1e-9
 
     def test_sphere_vanishes_at_origin(self):
         obj = make_objective(_spec(FunctionId.SPHERE))
-        assert obj.evaluate(np.zeros(20)) == 0.0
+        assert obj.evaluate_many(np.zeros((1, 20)))[0] == 0.0
 
     def test_positive_away_from_optimum(self):
         for fid in SHIFTED + [FunctionId.SPHERE]:
             obj = make_objective(_spec(fid, dimension=10, group_size=5))
             rng = np.random.default_rng(99)
-            x = obj.data.shift + rng.uniform(0.5, 1.0, 10)
-            assert obj.evaluate(x) > 0.0
+            x = obj.shift + rng.uniform(0.5, 1.0, 10)
+            assert obj.evaluate_many(x[None])[0] > 0.0
 
 
 def _rastrigin_ref(z):
@@ -142,45 +141,45 @@ class TestValuesAgainstReference:
     def test_f2_matches_reference(self):
         obj = make_objective(_spec(FunctionId.F2, dimension=12))
         x = self._point(obj)
-        z = x - obj.data.shift
+        z = x - obj.shift
         expected = _rastrigin_ref(list(z))
-        assert obj.evaluate(x) == pytest.approx(expected, rel=1e-12)
+        assert obj.evaluate_many(x[None])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_f6_matches_reference(self):
         obj = make_objective(_spec(FunctionId.F6, dimension=12, group_size=4))
         x = self._point(obj)
-        z = (x - obj.data.shift)[obj.data.permutation]
-        head = obj.data.rotations[0] @ z[:4]
+        z = (x - obj.shift)[obj.permutation]
+        head = obj.rotations[0] @ z[:4]
         expected = 1e6 * _ackley_ref(list(head)) + _ackley_ref(list(z[4:]))
-        assert obj.evaluate(x) == pytest.approx(expected, rel=1e-12)
+        assert obj.evaluate_many(x[None])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_f6_fully_rotated_has_no_tail(self):
         obj = make_objective(_spec(FunctionId.F6, dimension=8, group_size=8))
         x = self._point(obj)
-        z = (x - obj.data.shift)[obj.data.permutation]
-        expected = 1e6 * _ackley_ref(list(obj.data.rotations[0] @ z))
-        assert obj.evaluate(x) == pytest.approx(expected, rel=1e-12)
+        z = (x - obj.shift)[obj.permutation]
+        expected = 1e6 * _ackley_ref(list(obj.rotations[0] @ z))
+        assert obj.evaluate_many(x[None])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_f14_matches_reference(self):
         obj = make_objective(_spec(FunctionId.F14, dimension=12, group_size=3))
         x = self._point(obj)
-        z = (x - obj.data.shift)[obj.data.permutation]
+        z = (x - obj.shift)[obj.permutation]
         expected = sum(
-            _elliptic_ref(list(obj.data.rotations[g] @ z[3 * g: 3 * g + 3]))
+            _elliptic_ref(list(obj.rotations[g] @ z[3 * g: 3 * g + 3]))
             for g in range(4)
         )
-        assert obj.evaluate(x) == pytest.approx(expected, rel=1e-12)
+        assert obj.evaluate_many(x[None])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_f19_matches_reference(self):
         obj = make_objective(_spec(FunctionId.F19, dimension=12))
         x = self._point(obj)
-        z = x - obj.data.shift
-        assert obj.evaluate(x) == pytest.approx(_schwefel_ref(list(z)), rel=1e-12)
+        z = x - obj.shift
+        assert obj.evaluate_many(x[None])[0] == pytest.approx(_schwefel_ref(list(z)), rel=1e-12)
 
     def test_sphere_matches_reference(self):
         obj = make_objective(_spec(FunctionId.SPHERE, dimension=12))
         x = self._point(obj)
-        assert obj.evaluate(x) == pytest.approx(float(np.sum(x * x)), rel=1e-12)
+        assert obj.evaluate_many(x[None])[0] == pytest.approx(float(np.sum(x * x)), rel=1e-12)
 
 
 class TestBatchEvaluation:
@@ -198,9 +197,9 @@ class TestBatchEvaluation:
             assert batch.shape == (6,)
             for row, value in zip(xs, batch):
                 if fid in rotated:
-                    assert obj.evaluate(row) == pytest.approx(value, rel=1e-12)
+                    assert obj.evaluate_many(row[None])[0] == pytest.approx(value, rel=1e-12)
                 else:
-                    assert obj.evaluate(row) == value
+                    assert obj.evaluate_many(row[None])[0] == value
 
     def test_row_blocks_do_not_change_any_bit(self):
         # A row-block runner may split the rows anywhere: sphere, F2 and F19

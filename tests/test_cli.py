@@ -76,6 +76,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="not found"):
             parse_config_file(tmp_path / "absent.cfg")
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"function = f2\xff\n")
+        with pytest.raises(ConfigurationError, match=r"bad\.cfg: not UTF-8 text"):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("swarm_size 50\n")
@@ -322,6 +329,46 @@ class TestCliCommands:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["analyze", str(empty)]) == 2
+
+    def test_analyze_two_logs_in_one_directory_exits_two(self, tmp_path, caplog):
+        # Both logs would write out/diversity.csv and out/destruction.csv.
+        logdir = tmp_path / "logs"
+        logdir.mkdir()
+        log = InteractionLog(np.array([[1, 0, 0], [2, 2, 1]]))
+        io.write_interaction_log(logdir / "a.csv", log)
+        io.write_interaction_log(logdir / "b.csv", log)
+        out = tmp_path / "out"
+        assert main(["analyze", str(logdir), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert str(logdir / "a.csv") in caplog.text
+        assert str(logdir / "b.csv") in caplog.text
+
+    def test_analyze_skips_csv_that_is_not_text(self, tmp_path, caplog):
+        logdir = tmp_path / "logs"
+        logdir.mkdir()
+        io.write_interaction_log(
+            logdir / "log.csv", InteractionLog(np.array([[1, 0, 0]]))
+        )
+        (logdir / "junk.csv").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00\x01")
+        out = tmp_path / "out"
+        assert main(["analyze", str(logdir), "--set", "windows=1",
+                     "--out", str(out)]) == 0
+        assert (out / "diversity.csv").is_file()
+        assert "unexpected failure" not in caplog.text
+
+    def test_destruction_of_non_utf8_log_exits_two(self, tmp_path, caplog):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"iteration,particle,best_neighbor\r\n1,0,1\r\n1,1,\xff\r\n")
+        assert main(["destruction", str(path), "--out", str(tmp_path / "d")]) == 2
+        assert f"{path}: not UTF-8 text" in caplog.text
+        assert "unexpected failure" not in caplog.text
+
+    def test_sweep_jobs_below_one_exits_one(self, tiny_config, tmp_path):
+        for jobs in ("0", "-2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--jobs", jobs, "--config", str(tiny_config),
+                         "--out", str(out)]) == 1
+            assert not out.exists()
 
     def test_self_selecting_log_exits_two(self, tmp_path):
         logdir = tmp_path / "logs"

@@ -240,6 +240,11 @@ class TestSweep:
             assert np.array_equal(a.trace.global_best_fitness,
                                   b.trace.global_best_fitness)
 
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -2):
+            with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+                run_sweep(_config(), jobs=jobs)
+
     def test_shared_seeds_across_topologies(self):
         cfg = _config(topologies=(
             TopologySpec(TopologyKind.RING),

@@ -54,7 +54,7 @@ class TestBuildNetwork:
         assert net.weights[0, 1] == 2
         assert net.weights[0, 2] == 1
         assert net.weights[0, 3] == 1
-        assert net.total_weight() == 4
+        assert int(net.weights.sum()) // 2 == 4
 
     def test_full_window_sums_all_iterations(self):
         rng = np.random.default_rng(42)
@@ -98,7 +98,7 @@ class TestBuildNetwork:
             t = int(rng.integers(1, total + 1))
             t_w = int(rng.integers(1, t + 1))
             net = build_network(log, t, t_w)
-            assert net.total_weight() == log.n * min(t_w, t)
+            assert int(net.weights.sum()) // 2 == log.n * min(t_w, t)
 
     def test_matches_oracle_weights(self):
         rng = np.random.default_rng(5)
@@ -332,7 +332,7 @@ class TestProperties:
     def test_network_and_curve_match_oracle(self, case):
         log, t, t_w = case
         net = build_network(log, t, t_w)
-        assert net.total_weight() == log.n * t_w
+        assert int(net.weights.sum()) // 2 == log.n * t_w
         curve = destruction_curve(net)
         expected = oracle_curve(
             log.n, oracle_weights(log.choices.tolist(), t, t_w), t_w

@@ -273,3 +273,25 @@ def test_table_readers_name_file_and_line(tmp_path, reader, header, row):
     expected = f"t.csv:3: malformed {kind} in {bad.split(',')}"
     with pytest.raises(InputError, match=re.escape(expected) + "$"):
         reader(path)
+
+
+@pytest.mark.parametrize("reader,header,row",
+                         TABLES + [(io.read_interaction_log, io.LOG_HEADER, "1,0,1")])
+def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader, header, row):
+    path = tmp_path / "t.csv"
+    head = (",".join(header) + "\n").encode()
+    rows = (row + "\n").encode()
+    # In the header, in the first rows, and past the first read buffer.
+    for data in (b"\xff" + head + rows, head + rows + b"\xff\n",
+                 head + rows * 2000 + b"1,\xff\n"):
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=r"t\.csv: not UTF-8 text"):
+            reader(path)
+
+
+def test_find_log_files_skips_files_that_are_not_text(tmp_path):
+    head = (",".join(io.LOG_HEADER) + "\n").encode()
+    (tmp_path / "junk.csv").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe" + head)
+    (tmp_path / "log.csv").write_bytes(head + b"1,0,1\n1,1,\xff\n")
+    # The log's header marks it as a log; its reader then names the bad byte.
+    assert io.find_log_files(tmp_path) == [tmp_path / "log.csv"]

@@ -12,14 +12,13 @@ from swarmnet.errors import ConfigurationError, NonFiniteFitnessError
 from swarmnet.pso import (
     PsoParams,
     Swarm,
-    best_neighbor,
     constriction_factor,
     fitness_improvement,
     initialize_swarm,
     run,
     step,
 )
-from swarmnet.pso import _Workspace
+from swarmnet.pso import _best_neighbors, _Workspace
 from swarmnet.topology import TopologyKind, build_topology
 
 
@@ -92,22 +91,18 @@ class TestBestNeighbor:
     def test_picks_minimum_fitness(self):
         g = build_topology(TopologyKind.RING, 4)
         swarm = _manual_swarm([3.0, 1.0, 2.0, 0.0])
-        assert best_neighbor(swarm, g, 0) == 3
-        assert best_neighbor(swarm, g, 2) == 3
-        assert best_neighbor(swarm, g, 1) == 2
-        assert best_neighbor(
-            _manual_swarm([3.0, 1.0, 2.0, 5.0]), g, 0
-        ) == 1
+        assert _best_neighbors(swarm, g).tolist() == [3, 2, 3, 2]
+        assert _best_neighbors(_manual_swarm([3.0, 1.0, 2.0, 5.0]), g)[0] == 1
 
     def test_tie_goes_to_lowest_index(self):
         g = build_topology(TopologyKind.RING, 4)
         swarm = _manual_swarm([5.0, 2.0, 9.0, 2.0])
-        assert best_neighbor(swarm, g, 0) == 1
+        assert _best_neighbors(swarm, g)[0] == 1
 
     def test_own_fitness_never_competes(self):
         g = build_topology(TopologyKind.RING, 4)
         swarm = _manual_swarm([0.0, 7.0, 8.0, 9.0])
-        assert best_neighbor(swarm, g, 0) in (1, 3)
+        assert _best_neighbors(swarm, g)[0] in (1, 3)
 
 
 class TestStep:

@@ -5,12 +5,12 @@ from collections import deque
 import numpy as np
 import pytest
 
-from swarmnet.errors import ConfigurationError, InputError
-from swarmnet.topology import TopologyKind, build_topology, neighbors
+from swarmnet.errors import ConfigurationError
+from swarmnet.topology import TopologyKind, build_topology, label
 
 
 def _neighbor_set(g, i):
-    return set(int(v) for v in neighbors(g, i))
+    return set(int(v) for v in g.adjacency[i])
 
 
 def _is_connected(g):
@@ -33,7 +33,8 @@ class TestRing:
         assert _neighbor_set(g, 2) == {1, 3}
 
     def test_label(self):
-        assert build_topology(TopologyKind.RING, 5).label == "ring_2"
+        g = build_topology(TopologyKind.RING, 5)
+        assert label(g.kind, g.k) == "ring_2"
 
 
 class TestVonNeumann:
@@ -124,13 +125,6 @@ class TestInvariants:
     def test_minimum_size(self):
         with pytest.raises(ConfigurationError):
             build_topology(TopologyKind.RING, 2)
-
-    def test_neighbors_range_check(self):
-        g = build_topology(TopologyKind.RING, 5)
-        with pytest.raises(InputError):
-            neighbors(g, 5)
-        with pytest.raises(InputError):
-            neighbors(g, -1)
 
     def test_adjacency_read_only(self):
         g = build_topology(TopologyKind.RING, 5)
