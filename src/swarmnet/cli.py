@@ -2,9 +2,10 @@
 
 All subcommands share the same flags: `--config` points at a key=value
 file (defaults apply when omitted), `--set key=value` overrides single
-fields, `--seed` overrides the base seed, `--out` names the output
-directory, and `--jobs` bounds the sweep worker pool. Exit codes: 0 on
-success, 1 for configuration problems, 2 for runtime failures.
+fields, `--seed` overrides the base seed, and `--out` names the output
+directory. Only `sweep` takes `--jobs`, which bounds its worker pool.
+Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
+failures.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override one config field (repeatable)")
     common.add_argument("--seed", metavar="N", type=int, default=None,
                         help="override base_seed")
-    common.add_argument("--jobs", metavar="N", type=int, default=1,
-                        help="worker processes for sweeps (default: 1)")
     common.add_argument("-v", "--verbose", action="count", default=0,
                         help="increase log verbosity (-v info, -vv debug)")
 
@@ -46,8 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", parents=[common],
                    help="execute one run of a single configured topology")
-    sub.add_parser("sweep", parents=[common],
-                   help="execute the full topology x repetition matrix")
+    p_sweep = sub.add_parser("sweep", parents=[common],
+                             help="execute the full topology x repetition matrix")
+    p_sweep.add_argument("--jobs", metavar="N", type=int, default=1,
+                         help="worker processes (default: 1)")
     p_analyze = sub.add_parser("analyze", parents=[common],
                                help="recompute metrics from saved logs")
     p_analyze.add_argument("logdir", help="directory containing selection logs")

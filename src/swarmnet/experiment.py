@@ -5,13 +5,14 @@ with seeds fanned out as base_seed + repetition so any cell can be
 reproduced in isolation. Each run samples interaction diversity on a
 configurable iteration stride (stride 1 measures every iteration) and
 records the per-iteration relative fitness improvement. Cells are
-independent, so a worker pool may execute them in any order; aggregation
-keys results by cell identity and is order-independent.
+independent; they are mapped in order, over a worker pool or not, and
+come back in that order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -112,7 +113,11 @@ class SummaryRow:
     mean_final_fitness: float
     mean_fdelta: float
     converged_fraction: float
-    degenerate_interval: bool = False
+
+    @property
+    def degenerate_interval(self) -> bool:
+        """One repetition: the interval collapses to the point estimate."""
+        return self.repetitions < 2
 
 
 def available_cpus() -> int:
@@ -153,16 +158,16 @@ def run_cell(config: ExperimentConfig, spec: TopologySpec,
     )
 
 
-def _confidence_interval(values: np.ndarray) -> tuple[float, float, bool]:
+def _confidence_interval(values: np.ndarray) -> tuple[float, float]:
     """Two-sided 95% Student-t interval for the mean; a single observation
-    degenerates to the point estimate and is flagged."""
+    degenerates to the point estimate."""
     mean = float(values.mean())
     n = len(values)
     if n < 2:
-        return mean, mean, True
+        return mean, mean
     sd = float(values.std(ddof=1))
     half = stdtrit(n - 1, 0.975) * sd / np.sqrt(n)
-    return mean - half, mean + half, False
+    return mean - half, mean + half
 
 
 def summarize(results: list[CellResult]) -> SummaryRow:
@@ -177,7 +182,7 @@ def summarize(results: list[CellResult]) -> SummaryRow:
             raise InputError("summarize requires results from a single cell")
     ordered = sorted(results, key=lambda r: r.repetition)
     ids = np.array([r.mean_id for r in ordered])
-    low, high, degenerate = _confidence_interval(ids)
+    low, high = _confidence_interval(ids)
     return SummaryRow(
         function_id=first.function_id,
         topology_kind=first.topology_kind,
@@ -189,7 +194,6 @@ def summarize(results: list[CellResult]) -> SummaryRow:
         mean_final_fitness=float(np.mean([r.trace.final_fitness for r in ordered])),
         mean_fdelta=float(np.mean([r.mean_fdelta for r in ordered])),
         converged_fraction=float(np.mean([r.converged for r in ordered])),
-        degenerate_interval=degenerate,
     )
 
 
@@ -219,48 +223,27 @@ def spearman(x, y) -> float | None:
     return correlate(rankdata(x), rankdata(y))
 
 
-def _run_cell_task(args):
-    config, spec, repetition, threads = args
-    return run_cell(config, spec, repetition, threads=threads)
-
-
 def run_sweep(config: ExperimentConfig, jobs: int = 1
               ) -> tuple[list[CellResult], list[SummaryRow]]:
     """Run the full topology x repetition matrix.
 
-    Results come back in deterministic (topology order, repetition) order
-    regardless of worker scheduling, so downstream files never depend on
-    completion order. Each of the `jobs` workers gives its cell an equal
-    share of the available CPUs as threads.
+    Cells are mapped in (topology order, repetition) order and come back
+    in that order, so downstream files never depend on worker scheduling;
+    the first cell to fail stops the cells not yet started. Each of the
+    `jobs` workers gives its cell an equal share of the available CPUs as
+    threads.
     """
     config.validate()
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    threads = max(1, available_cpus() // jobs)
-    tasks = [
-        (i, spec, rep)
-        for i, spec in enumerate(config.topologies)
-        for rep in range(config.repetitions)
-    ]
-    by_key: dict[tuple[int, int], CellResult] = {}
+    cell = functools.partial(run_cell, config, threads=max(1, available_cpus() // jobs))
+    reps = config.repetitions
+    specs = [spec for spec in config.topologies for _ in range(reps)]
+    repetitions = [rep for _ in config.topologies for rep in range(reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_cell_task, (config, spec, rep, threads)): (i, rep)
-                for i, spec, rep in tasks
-            }
-            for future, key in futures.items():
-                by_key[key] = future.result()
+            results = list(pool.map(cell, specs, repetitions))
     else:
-        for i, spec, rep in tasks:
-            by_key[(i, rep)] = run_cell(config, spec, rep, threads=threads)
-    results = [
-        by_key[(i, rep)]
-        for i in range(len(config.topologies))
-        for rep in range(config.repetitions)
-    ]
-    summaries = [
-        summarize([by_key[(i, rep)] for rep in range(config.repetitions)])
-        for i in range(len(config.topologies))
-    ]
+        results = list(map(cell, specs, repetitions))
+    summaries = [summarize(results[i:i + reps]) for i in range(0, len(results), reps)]
     return results, summaries

@@ -66,12 +66,20 @@ def _not_text(path, exc: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
+def _open(path):
+    """open(path, newline=""); a file that cannot be opened is an InputError."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror})") from None
+
+
 def _rows(path, header: list[str], width: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each record after a checked header.
 
     Line numbers count csv records, the header being line 1.
     """
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
@@ -200,7 +208,7 @@ def read_interaction_log(path) -> InteractionLog:
     _loadtxt_events), including every malformed one, goes to the
     row-by-row scan, which names the first bad line.
     """
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         try:
             header = next(csv.reader(fh), None)
             body = fh.read() if header == LOG_HEADER else ""

@@ -9,9 +9,14 @@ every intermediate quantity is produced by independent code.
 `oracle_read_log` is the row-by-row log reader the package used before its
 column-wise one, on plain lists; it raises LogError with the text the
 package's InputError carries.
+
+`oracle_topology` is the set-based topology construction the package used
+before its closed forms; it raises TopologyError with the text the
+package's ConfigurationError carries.
 """
 
 import csv
+import math
 from collections import deque
 
 LOG_HEADER = ["iteration", "particle", "best_neighbor"]
@@ -19,6 +24,58 @@ LOG_HEADER = ["iteration", "particle", "best_neighbor"]
 
 class LogError(Exception):
     """A log the reference reader rejects; the message names file and line."""
+
+
+class TopologyError(Exception):
+    """A (kind, n, k) the reference topology builder rejects."""
+
+
+def oracle_topology(kind_value, n, k=None):
+    """(degree, rows) of a topology: row i lists i's neighbors ascending."""
+    if n < 3:
+        raise TopologyError(f"topology needs at least 3 particles, got n={n}")
+    if kind_value == "ring":
+        return 2, [sorted({(i - 1) % n, (i + 1) % n}) for i in range(n)]
+    if kind_value == "von_neumann":
+        r = 0
+        for cand in range(3, math.isqrt(n) + 1):
+            if n % cand == 0:
+                r = cand
+        if r == 0:
+            raise TopologyError(
+                f"von Neumann topology needs n = r*c with r, c >= 3; n={n} does not factor"
+            )
+        c = n // r
+        rows = []
+        for i in range(n):
+            row, col = divmod(i, c)
+            rows.append(sorted({
+                ((row - 1) % r) * c + col,
+                ((row + 1) % r) * c + col,
+                row * c + (col - 1) % c,
+                row * c + (col + 1) % c,
+            }))
+        return 4, rows
+    if kind_value == "k_regular":
+        if k is None:
+            raise TopologyError("k-regular topology requires a degree k")
+        if k < 2 or k >= n:
+            raise TopologyError(f"k-regular topology needs 2 <= k < n, got k={k}, n={n}")
+        if (n * k) % 2 != 0:
+            raise TopologyError(
+                f"k-regular topology infeasible: n*k must be even, got n={n}, k={k}"
+            )
+        offsets = range(1, k // 2 + 1)
+        rows = []
+        for i in range(n):
+            nbrs = {(i + o) % n for o in offsets} | {(i - o) % n for o in offsets}
+            if k % 2:
+                nbrs.add((i + n // 2) % n)
+            rows.append(sorted(nbrs))
+        return k, rows
+    if kind_value == "global":
+        return n - 1, [[j for j in range(n) if j != i] for i in range(n)]
+    raise TopologyError(f"unknown topology kind {kind_value!r}")
 
 
 def oracle_read_log(path):

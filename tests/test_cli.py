@@ -363,6 +363,25 @@ class TestCliCommands:
         assert f"{path}: not UTF-8 text" in caplog.text
         assert "unexpected failure" not in caplog.text
 
+    def test_unreadable_log_exits_two(self, tmp_path, caplog):
+        missing = tmp_path / "missing.csv"
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        for path, reason in ((missing, "No such file or directory"),
+                             (folder, "Is a directory")):
+            caplog.clear()
+            assert main(["destruction", str(path), "--out", str(tmp_path / "d")]) == 2
+            assert caplog.messages == [f"{path}: cannot read ({reason})"]
+            assert "Traceback" not in caplog.text
+
+    def test_jobs_is_a_sweep_flag(self, tmp_path, capsys):
+        logfile = tmp_path / "log.csv"
+        for argv in (["run"], ["analyze", str(tmp_path)], ["destruction", str(logfile)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--jobs", "2", "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_sweep_jobs_below_one_exits_one(self, tiny_config, tmp_path):
         for jobs in ("0", "-2"):
             out = tmp_path / f"jobs{jobs}"

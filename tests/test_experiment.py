@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
@@ -11,6 +12,7 @@ import pytest
 from scipy import stats
 
 import swarmnet
+from swarmnet import experiment, io
 from swarmnet.benchmarks import FunctionId, ObjectiveSpec
 from swarmnet.errors import ConfigurationError, InputError
 from swarmnet.experiment import (
@@ -167,7 +169,7 @@ class TestSummarize:
             values = rng.random(n)
             mean = float(values.mean())
             half = stats.t.ppf(0.975, n - 1) * float(values.std(ddof=1)) / np.sqrt(n)
-            assert _confidence_interval(values) == (mean - half, mean + half, False)
+            assert _confidence_interval(values) == (mean - half, mean + half)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -214,6 +216,17 @@ class TestCorrelation:
         assert spearman(x, y) == pytest.approx(expected, rel=1e-12)
 
 
+_STARTS = None  # the directory _failing_cell marks each started cell in
+
+
+def _failing_cell(config, spec, repetition, threads=1):
+    """run_cell stand-in: marks its start, fails at repetition 0, else idles."""
+    (_STARTS / f"{spec.kind.value}_{repetition}").touch()
+    if repetition == 0:
+        raise InputError(f"{spec.kind.value} failed")
+    time.sleep(0.3)
+
+
 class TestSweep:
     def test_completeness_and_order(self):
         cfg = _config(topologies=(
@@ -255,3 +268,28 @@ class TestSweep:
         for r in results:
             by_label.setdefault(r.label, []).append(r.rng_seed)
         assert by_label["ring_2"] == by_label["global_7"] == [5, 6]
+
+    def test_failing_cell_stops_cells_not_yet_started(self, tmp_path, monkeypatch):
+        # Forked workers inherit the patched module globals.
+        monkeypatch.setattr(sys.modules[__name__], "_STARTS", tmp_path)
+        monkeypatch.setattr(experiment, "run_cell", _failing_cell)
+        cfg = _config(topologies=(
+            TopologySpec(TopologyKind.RING),
+            TopologySpec(TopologyKind.GLOBAL),
+        ), repetitions=4)
+        with pytest.raises(InputError, match="ring failed"):
+            run_sweep(cfg, jobs=2)
+        started = sorted(p.name for p in tmp_path.iterdir())
+        assert "ring_0" in started
+        assert len(started) < 8, started
+
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    def test_summary_reads_back_equal(self, repetitions, tmp_path):
+        cfg = _config(topologies=(
+            TopologySpec(TopologyKind.RING),
+            TopologySpec(TopologyKind.GLOBAL),
+        ), repetitions=repetitions)
+        _, summaries = run_sweep(cfg)
+        path = tmp_path / "summary.csv"
+        io.write_summary(path, summaries)
+        assert io.read_summary(path) == summaries

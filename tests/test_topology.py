@@ -5,6 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from oracle import TopologyError, oracle_topology
 from swarmnet.errors import ConfigurationError
 from swarmnet.topology import TopologyKind, build_topology, label
 
@@ -130,3 +131,55 @@ class TestInvariants:
         g = build_topology(TopologyKind.RING, 5)
         with pytest.raises(ValueError):
             g.adjacency[0, 0] = 3
+
+
+def _build(build, *args):
+    try:
+        return build(*args)
+    except (ConfigurationError, TopologyError) as exc:
+        return str(exc)
+
+
+def _assert_invariants(adjacency):
+    """Regular, symmetric, no self-loops, connected: checked on the matrix."""
+    n, k = adjacency.shape
+    assert (np.diff(adjacency, axis=1) > 0).all()  # k distinct, sorted
+    assert (adjacency != np.arange(n)[:, None]).all()
+    linked = np.zeros((n, n), dtype=bool)
+    linked[np.arange(n)[:, None], adjacency] = True
+    assert (linked == linked.T).all()
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    for _ in range(n):
+        grown = reached | linked[reached].any(axis=0)
+        if (grown == reached).all():
+            break
+        reached = grown
+    assert reached.all()
+
+
+def test_every_small_topology_matches_the_set_based_reference():
+    # The reference reads k only for k_regular; build it once per other (kind, n).
+    expected = {}
+    for kind in TopologyKind:
+        for n in [*range(1, 65), 100]:
+            for k in [*range(-1, n + 2), None]:
+                got = _build(build_topology, kind, n, k)
+                key = (kind, n, k if kind is TopologyKind.K_REGULAR else None)
+                first = key not in expected
+                if first:
+                    want = _build(oracle_topology, kind.value, n, k)
+                    if not isinstance(want, str):
+                        want = (want[0], np.array(want[1], dtype=np.int64))
+                    expected[key] = want
+                want = expected[key]
+                if isinstance(want, str):
+                    assert got == want, (kind, n, k)
+                    continue
+                degree, adjacency = want
+                assert (got.kind, got.n, got.k) == (kind, n, degree), (kind, n, k)
+                assert got.adjacency.dtype == np.int64
+                assert got.adjacency.shape == adjacency.shape, (kind, n, k)
+                assert got.adjacency.tobytes() == adjacency.tobytes(), (kind, n, k)
+                if first:
+                    _assert_invariants(got.adjacency)
