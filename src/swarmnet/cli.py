@@ -130,6 +130,15 @@ def _destruction_rows(logf, windows):
     ]
 
 
+def _analyze_log(path, config):
+    """ID series and final destruction rows of one log file."""
+    logf = io.read_interaction_log(path)
+    series = interaction.diversity_series(
+        logf, config.windows, config.id_sample_stride
+    )
+    return series, _destruction_rows(logf, config.windows)
+
+
 def cmd_analyze(args) -> int:
     config = _load(args)
     log_dir = Path(args.logdir)
@@ -149,17 +158,14 @@ def cmd_analyze(args) -> int:
                 f"logs {other} and {path} would both write to "
                 f"{out / path.parent.relative_to(log_dir)}"
             )
-    for path in files:
+    # Write nothing until every log is analyzed, so a bad log leaves no
+    # partial tree; only one log is held in memory at a time.
+    analyzed = [(path, *_analyze_log(path, config)) for path in files]
+    for path, (iters, values), rows in analyzed:
         dest = out / path.parent.relative_to(log_dir)
         dest.mkdir(parents=True, exist_ok=True)
-        logf = io.read_interaction_log(path)
-        iters, values = interaction.diversity_series(
-            logf, config.windows, config.id_sample_stride
-        )
         io.write_diversity_series(dest / "diversity.csv", iters, values)
-        io.write_destruction_surface(
-            dest / "destruction.csv", _destruction_rows(logf, config.windows)
-        )
+        io.write_destruction_surface(dest / "destruction.csv", rows)
         log.info("analyzed %s -> %s", path, dest)
     print(f"analyzed {len(files)} log(s) into {out}")
     return 0

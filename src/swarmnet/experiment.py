@@ -61,8 +61,14 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"id_sample_stride must be >= 1, got {self.id_sample_stride}"
             )
+        labels = set()
         for spec in self.topologies:
-            topology.build_topology(spec.kind, self.params.swarm_size, spec.k)
+            graph = topology.build_topology(spec.kind, self.params.swarm_size, spec.k)
+            name = topology.label(graph.kind, graph.k)
+            if name in labels:
+                # both cells would write the same output directory
+                raise ConfigurationError(f"topology {name} is listed more than once")
+            labels.add(name)
 
     def seed_for(self, repetition: int) -> int:
         return self.base_seed + repetition
@@ -215,12 +221,22 @@ def correlate(x, y) -> float | None:
     return min(1.0, max(-1.0, r))
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their ranks."""
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    # a tie group at sorted positions starts..ends-1 holds ranks starts+1..ends
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks
+
+
 def spearman(x, y) -> float | None:
     """Rank correlation: average ranks on ties, then Pearson on the ranks."""
-    # scipy.stats takes about a second to import; keep it off the CLI's path.
-    from scipy.stats import rankdata
-
-    return correlate(rankdata(x), rankdata(y))
+    return correlate(_average_ranks(x), _average_ranks(y))
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1

@@ -20,9 +20,9 @@ quanta; interaction diversity aggregates areas over a window set T:
 High ID means many coexisting information flows (slow shattering); low ID
 means the swarm funnels through few flows (fast shattering).
 
-Every curve and area comes from the network's maximum spanning forest
-(Kruskal 1956). At threshold quantum k the kept edges are those of weight
-at least max(k, 1), and the forest edges among them span exactly the same
+Every curve and area comes from the network's maximum spanning forest.
+At threshold quantum k the kept edges are those of weight at least
+max(k, 1), and the forest edges among them span exactly the same
 components, so each forest edge of weight w merges two components at
 k = 0..w:
 
@@ -30,18 +30,24 @@ k = 0..w:
     sum over k of comps(k) = (2*t_w + 1) * n - sum over forest of (w_e + 1)
 
 That integer sum is exact in float64, so the closed-form area equals the
-mean of the integer curve bit for bit.
+mean of the integer curve bit for bit. The forest comes from Prim's
+algorithm (Prim 1957) run on a whole batch of networks at once: each
+network is taken as a complete graph in which a zero weight means no edge,
+so its spanning tree's positive edges are the forest and its zero edges
+join the components.
 
 diversity_series does not rebuild each network: per distinct window length
-it keeps one flat vector of directed counts (a selected b) and moves it
-from one sample point to the next by adding the counts of the rows that
-entered the window and subtracting those of the rows that left. A gap of a
-whole window or more rebuilds the vector from the window's rows.
+it keeps one flat vector of symmetric counts (an event a -> b adds one at
+a*n + b and at b*n + a) and moves it from one sample point to the next by
+adding the events of the rows that entered the window and subtracting
+those of the rows that left. A gap of a whole window or more rebuilds the
+vector from the window's rows. Each sample point's networks, one per
+distinct clipped window, are copied into a batch of at most 2 MB of
+weights, and each full batch goes through one forest pass.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,55 +89,55 @@ class DiversityReport:
     id_value: float
 
 
-def _directed_counts(rows: np.ndarray, n: int) -> np.ndarray:
-    """Flat counts c[a*n + b] of the events in rows where a selected b."""
-    return np.bincount((rows + np.arange(0, n * n, n)).ravel(), minlength=n * n)
+# int64 weights per forest batch: 2 MB, whatever the swarm size
+_BATCH_ENTRIES = 1 << 18
 
 
-@functools.lru_cache(maxsize=4)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and flat indices of the pairs i < j, read-only."""
-    i, j = np.triu_indices(n, k=1)
-    pairs = (i, j, i * n + j)
-    for a in pairs:
-        a.setflags(write=False)
-    return pairs
+def _event_indices(rows: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices a*n + b and b*n + a of every event a -> b in rows."""
+    a = np.arange(n)
+    return np.concatenate(((a * n + rows).ravel(), (rows * n + a).ravel()))
 
 
-def _forest_weights(weights: np.ndarray) -> list[int]:
-    """Edge weights of a maximum spanning forest of a symmetric weight matrix.
+def _forest_weights(weights: np.ndarray) -> np.ndarray:
+    """(B, n-1) spanning-tree weights of a (B, n, n) batch of networks.
 
-    Kruskal's algorithm over the positive edges i < j in descending weight,
-    with path halving; it stops once n - 1 edges span every node. Every
-    maximum spanning forest has the same weights, so ties may break either way.
+    Prim's algorithm on every network at once, each taken as a complete
+    graph in which a zero weight means no edge. A maximum spanning tree of
+    that graph holds a maximum spanning forest of the positive edges, and
+    every such forest has the same weights, so a network's positive tree
+    weights are its forest weights, whichever way ties break.
     """
-    n = len(weights)
-    iu, ju, flat = _upper_pairs(n)
-    w = weights.ravel()[flat]
-    positive = np.flatnonzero(w)
-    order = positive[np.argsort(-w[positive])]
-    parent = list(range(n))
-    forest = []
-    for a, b, weight in zip(iu[order].tolist(), ju[order].tolist(),
-                            w[order].tolist()):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[b] = a
-            forest.append(weight)
-            if len(forest) == n - 1:
-                break
-    return forest
+    graphs, n, _ = weights.shape
+    forest = np.empty((max(n - 1, 0), graphs), dtype=np.int64)
+    rows = weights.reshape(graphs * n, n)
+    base = np.arange(0, graphs * n, n)
+    # best[b, v]: heaviest edge from b's tree to v, or -1 once v is in it;
+    # cap holds v's entry at -1 from then on (one more ufunc pass is
+    # cheaper than a masked np.maximum)
+    best = weights[:, 0].astype(np.int64)
+    cap = np.full_like(best, np.iinfo(np.int64).max)
+    best[:, 0] = cap[:, 0] = -1
+    flat_best = best.reshape(-1)
+    flat_cap = cap.reshape(-1)
+    joined_rows = np.empty_like(best)
+    for tree_weight in forest:
+        joined = best.argmax(axis=1)
+        joined += base
+        flat_best.take(joined, out=tree_weight)
+        flat_cap[joined] = -1
+        rows.take(joined, axis=0, out=joined_rows)
+        np.maximum(best, joined_rows, out=best)
+        np.minimum(best, cap, out=best)
+    return forest.T
 
 
-def _area(forest: list[int], n: int, t_w: int) -> float:
-    """Mean component count over the 2*t_w + 1 thresholds, from the forest."""
-    m = 2 * t_w + 1
-    return (m * n - sum(forest) - len(forest)) / m
+def _areas(weights: np.ndarray, t_w) -> np.ndarray:
+    """Destruction area of each network in a batch, from its forest."""
+    n = weights.shape[1]
+    forest = _forest_weights(weights)
+    m = 2 * np.asarray(t_w, dtype=np.int64) + 1
+    return (m * n - forest.sum(axis=1) - np.count_nonzero(forest, axis=1)) / m
 
 
 def build_network(log: InteractionLog, t: int, t_w: int) -> WeightedNetwork:
@@ -141,8 +147,8 @@ def build_network(log: InteractionLog, t: int, t_w: int) -> WeightedNetwork:
     if t > len(log):
         raise InputError(f"iteration t={t} exceeds log length {len(log)}")
     n = log.n
-    directed = _directed_counts(log.choices[t - t_w:t], n).reshape(n, n)
-    return WeightedNetwork(n, t_w, directed + directed.T)
+    flat = np.bincount(_event_indices(log.choices[t - t_w:t], n), minlength=n * n)
+    return WeightedNetwork(n, t_w, flat.reshape(n, n))
 
 
 def destruction_curve(net: WeightedNetwork) -> DestructionCurve:
@@ -152,7 +158,8 @@ def destruction_curve(net: WeightedNetwork) -> DestructionCurve:
     integers in [0, 2*t_w]. Threshold 0 keeps the same edges as k = 1.
     """
     w_max = 2 * net.t_w  # mutual selection all window long
-    forest = np.asarray(_forest_weights(net.weights), dtype=np.int64)
+    tree = _forest_weights(net.weights[None])[0]
+    forest = tree[tree > 0]
     # at_least[k] = number of forest edges with weight >= k
     at_least = np.bincount(forest, minlength=w_max + 1)[::-1].cumsum()[::-1]
     thresholds = np.arange(w_max + 1) / w_max
@@ -179,10 +186,8 @@ def interaction_diversity(log: InteractionLog, t: int,
     for w in windows:
         if not 1 <= w <= t:
             raise InputError(f"window {w} must satisfy 1 <= t_w <= t={t}")
-    areas = tuple(
-        _area(_forest_weights(build_network(log, t, w).weights), log.n, w)
-        for w in windows
-    )
+    nets = np.stack([build_network(log, t, w).weights for w in windows])
+    areas = tuple(_areas(nets, windows).tolist())
     id_value = 1.0 - sum(areas) / (log.n * len(windows))
     return DiversityReport(tuple(windows), areas, id_value)
 
@@ -212,21 +217,43 @@ def diversity_series(log: InteractionLog, windows: tuple[int, ...],
     choices = log.choices
     # counts[w] covers rows max(t - w, 0)..t-1, the window clipped at t
     counts = {w: np.zeros(n * n, dtype=np.int64) for w in set(windows)}
-    values = np.empty(len(points))
+    batch = np.empty((max(1, _BATCH_ENTRIES // (n * n)), n, n), dtype=np.int64)
+    # one slot per (point, distinct clipped window): its t_w, and for every
+    # point the slot that each window's area comes from
+    slot_t_w = []
+    slot_of = np.empty((len(points), len(windows)), dtype=np.int64)
+    areas = []
+    widest = max(windows)
     prev = 0
     for k, t in enumerate(points):
+        if t - prev < widest:
+            entering = _event_indices(choices[prev:t], n)
         for w, flat in counts.items():
             if t - prev >= w:
-                flat[:] = _directed_counts(choices[t - w:t], n)
+                flat[:] = np.bincount(_event_indices(choices[t - w:t], n),
+                                      minlength=n * n)
             else:
-                flat += _directed_counts(choices[prev:t], n)
-                flat -= _directed_counts(choices[max(prev - w, 0):max(t - w, 0)], n)
-        areas = {}
-        for w in windows:
+                np.add.at(flat, entering, 1)
+                np.subtract.at(
+                    flat, _event_indices(choices[max(prev - w, 0):max(t - w, 0)], n), 1)
+        slots = {}
+        for i, w in enumerate(windows):
             t_w = min(w, t)
-            if t_w not in areas:
-                directed = counts[w].reshape(n, n)
-                areas[t_w] = _area(_forest_weights(directed + directed.T), n, t_w)
-        values[k] = 1.0 - sum(areas[min(w, t)] for w in windows) / (n * len(windows))
+            if t_w not in slots:
+                slot = slots[t_w] = len(slot_t_w)
+                batch[slot % len(batch)] = counts[w].reshape(n, n)
+                slot_t_w.append(t_w)
+                if len(slot_t_w) % len(batch) == 0:
+                    areas.append(_areas(batch, slot_t_w[-len(batch):]))
+            slot_of[k, i] = slots[t_w]
         prev = t
+    filled = len(slot_t_w) % len(batch)
+    if filled:
+        areas.append(_areas(batch[:filled], slot_t_w[-filled:]))
+    chosen = np.concatenate(areas)[slot_of]
+    # left to right over the windows, as the builtin sum adds them
+    total_area = chosen[:, 0].copy()
+    for column in chosen.T[1:]:
+        total_area += column
+    values = 1.0 - total_area / (n * len(windows))
     return np.array(points, dtype=np.int64), values

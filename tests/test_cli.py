@@ -343,6 +343,21 @@ class TestCliCommands:
         assert str(logdir / "a.csv") in caplog.text
         assert str(logdir / "b.csv") in caplog.text
 
+    def test_analyze_bad_log_leaves_no_partial_tree(self, tmp_path):
+        logdir = tmp_path / "logs"
+        (logdir / "a").mkdir(parents=True)
+        (logdir / "b").mkdir()
+        io.write_interaction_log(
+            logdir / "a" / "log.csv", InteractionLog(np.array([[1, 0, 0], [2, 2, 1]]))
+        )
+        (logdir / "b" / "log.csv").write_text(
+            "iteration,particle,best_neighbor\n1,0,0\n1,1,0\n1,2,0\n"
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", str(logdir), "--set", "windows=1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_analyze_skips_csv_that_is_not_text(self, tmp_path, caplog):
         logdir = tmp_path / "logs"
         logdir.mkdir()
@@ -424,6 +439,14 @@ class TestCliCommands:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 1
+
+    def test_repeated_topology_exits_one(self, tiny_config, tmp_path, caplog):
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", str(tiny_config),
+                     "--set", "topologies=ring,ring", "--out", str(out)])
+        assert code == 1
+        assert "topology ring_2 is listed more than once" in caplog.text
+        assert not out.exists()
 
     def test_summary_round_trip(self, tiny_config, tmp_path):
         out = tmp_path / "sweep"

@@ -18,6 +18,7 @@ from swarmnet.errors import ConfigurationError, InputError
 from swarmnet.experiment import (
     ExperimentConfig,
     TopologySpec,
+    _average_ranks,
     _confidence_interval,
     correlate,
     run_cell,
@@ -61,6 +62,14 @@ class TestConfigValidation:
             _config(id_sample_stride=0).validate()
         with pytest.raises(ConfigurationError):
             _config(topologies=()).validate()
+
+    def test_repeated_topology_rejected(self):
+        ring = TopologySpec(TopologyKind.RING)
+        cfg = _config(topologies=(ring, TopologySpec(TopologyKind.GLOBAL), ring))
+        with pytest.raises(ConfigurationError, match="topology ring_2 is listed more than once"):
+            cfg.validate()
+        # a ring and a 2-regular circulant are different entries
+        _config(topologies=(ring, TopologySpec(TopologyKind.K_REGULAR, 2))).validate()
 
 
 class TestRunCell:
@@ -173,7 +182,7 @@ class TestSummarize:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second per command; only spearman loads it.
+    # scipy.stats costs about a second per command, and no command uses it.
     package_root = str(Path(swarmnet.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -214,6 +223,18 @@ class TestCorrelation:
         y = [2.0, 1.0, 4.0, 3.0, 6.0, 5.0]
         expected = stats.spearmanr(x, y).statistic
         assert spearman(x, y) == pytest.approx(expected, rel=1e-12)
+
+    def test_average_ranks_equal_rankdata_bitwise(self):
+        rng = np.random.default_rng(17)
+        cases = [[3.0, 1.0, 3.0, 2.0, 1.0, 3.0], [5, 5, 5], [0.1, -2.0], [7.0]]
+        for size in (2, 9, 50, 301):
+            cases += [rng.integers(0, 5, size), rng.integers(0, 5, size) / 7,
+                      rng.random(size)]
+        for values in cases:
+            ranks = _average_ranks(values)
+            expected = stats.rankdata(values)
+            assert ranks.dtype == expected.dtype == np.float64
+            assert ranks.tobytes() == expected.tobytes()
 
 
 _STARTS = None  # the directory _failing_cell marks each started cell in

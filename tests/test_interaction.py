@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_components, oracle_curve, oracle_id, oracle_weights
+from oracle import oracle_area, oracle_components, oracle_curve, oracle_id, oracle_weights
+from swarmnet import interaction
 from swarmnet.errors import InputError
 from swarmnet.interaction import (
     WeightedNetwork,
+    _areas,
+    _forest_weights,
     area_under_destruction,
     build_network,
     clip_windows,
@@ -131,6 +134,38 @@ class TestComponents:
         curve = destruction_curve(empty)
         assert np.array_equal(curve.thresholds, [0.0, 0.5, 1.0])
         assert list(curve.components) == oracle_curve(5, {}, 1) == [5, 5, 5]
+
+
+def _tree_curve(tree, n, t_w):
+    """Component counts at k = 0..2*t_w from one network's tree weights."""
+    return [n - sum(1 for w in tree if w >= max(k, 1)) for k in range(2 * t_w + 1)]
+
+
+class TestForestWeights:
+    """The batched Prim pass against the BFS oracle, network by network."""
+
+    @pytest.mark.parametrize("graphs", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    def test_batch_matches_oracle_curve(self, n, graphs):
+        rng = np.random.default_rng(10 * n + graphs)
+        t_w = 2
+        for trial in range(25):
+            # weights 0..4 tie often; sparse draws leave graphs disconnected
+            upper = np.triu(rng.integers(1, 2 * t_w + 1, size=(graphs, n, n))
+                            * (rng.random((graphs, n, n)) < 0.35), 1)
+            batch = upper + upper.transpose(0, 2, 1)
+            if trial % 3 == 0:
+                batch[-1] = 0
+            tree = _forest_weights(batch)
+            assert tree.shape == (graphs, max(n - 1, 0))
+            areas = _areas(batch, [t_w] * graphs)
+            for b, weights in enumerate(batch):
+                edges = {(i, j): int(weights[i, j])
+                         for i in range(n) for j in range(i + 1, n) if weights[i, j]}
+                expected = oracle_curve(n, edges, t_w)
+                assert _tree_curve(tree[b].tolist(), n, t_w) == expected
+                assert areas[b] == oracle_area(expected)
+                assert np.array_equal(tree[b], _forest_weights(batch[b:b + 1])[0])
 
 
 class TestDestructionCurve:
@@ -275,6 +310,17 @@ class TestSeries:
         assert list(iters) == [1, 2, 3, 4]
         assert values[0] == interaction_diversity(log, 1, (1, 1)).id_value
 
+    def test_series_spans_several_batches(self):
+        rng = np.random.default_rng(16)
+        n, total, windows = 100, 40, (10, 25)
+        log = _random_log(rng, n=n, total=total)
+        networks = sum(len(set(clip_windows(windows, t))) for t in range(1, total + 1))
+        assert networks > 2 * (interaction._BATCH_ENTRIES // n ** 2)
+        iters, values = diversity_series(log, windows, stride=1)
+        assert list(iters) == list(range(1, total + 1))
+        for t, value in zip(iters.tolist(), values.tolist()):
+            assert value == interaction_diversity(log, t, clip_windows(windows, t)).id_value
+
     def test_bad_stride(self):
         with pytest.raises(InputError):
             diversity_series(STAR, (1,), stride=0)
@@ -316,16 +362,31 @@ def _network_cases(draw):
     return log, t, draw(st.integers(1, t))
 
 
+def _check_series_against_oracle(log, windows, stride):
+    iters, values = diversity_series(log, windows, stride)
+    choices = log.choices.tolist()
+    for t, value in zip(iters.tolist(), values.tolist()):
+        assert value == oracle_id(choices, t, clip_windows(windows, t))
+        assert 0.0 <= value <= 1.0 - 1.0 / log.n
+
+
 class TestProperties:
     @settings(derandomize=True, deadline=None)
     @given(_series_cases())
     def test_series_matches_oracle_bitwise(self, case):
-        log, windows, stride = case
-        iters, values = diversity_series(log, windows, stride)
-        choices = log.choices.tolist()
-        for t, value in zip(iters.tolist(), values.tolist()):
-            assert value == oracle_id(choices, t, clip_windows(windows, t))
-            assert 0.0 <= value <= 1.0 - 1.0 / log.n
+        _check_series_against_oracle(*case)
+
+    @pytest.mark.parametrize("points_per_batch", [1, 2, 3])
+    @settings(derandomize=True, deadline=None)
+    @given(_series_cases())
+    def test_series_matches_oracle_across_small_batches(self, points_per_batch, case):
+        # These logs never fill a 2 MB batch; shrink it so they cross batch
+        # boundaries every 1-3 sample points.
+        log, windows, _ = case
+        entries = points_per_batch * len(set(windows)) * log.n ** 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interaction, "_BATCH_ENTRIES", entries)
+            _check_series_against_oracle(*case)
 
     @settings(derandomize=True, deadline=None)
     @given(_network_cases())
