@@ -124,10 +124,8 @@ def _destruction_rows(logf, windows):
     """Clipped-window destruction curves of the final-iteration network."""
     total = len(logf)
     clipped = sorted(set(interaction.clip_windows(windows, total)))
-    return [
-        (w, interaction.destruction_curve(interaction.build_network(logf, total, w)))
-        for w in clipped
-    ]
+    nets = [interaction.build_network(logf, total, w) for w in clipped]
+    return list(zip(clipped, interaction.destruction_curves(nets)))
 
 
 def _analyze_log(path, config):

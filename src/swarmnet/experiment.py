@@ -203,14 +203,23 @@ def summarize(results: list[CellResult]) -> SummaryRow:
     )
 
 
-def correlate(x, y) -> float | None:
-    """Pearson correlation; None when either series has zero variance."""
+def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two float series of one length, at least 3, with finite values only:
+    a NaN would give a NaN r, or rank as the largest value."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise InputError(f"series lengths differ: {x.shape} vs {y.shape}")
     if len(x) < 3:
         raise InputError(f"need at least 3 points, got {len(x)}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InputError("series hold a value that is not finite")
+    return x, y
+
+
+def correlate(x, y) -> float | None:
+    """Pearson correlation; None when either series has zero variance."""
+    x, y = _paired(x, y)
     xm = x - x.mean()
     ym = y - y.mean()
     sx = float(np.sqrt((xm * xm).sum()))
@@ -236,6 +245,7 @@ def _average_ranks(values) -> np.ndarray:
 
 def spearman(x, y) -> float | None:
     """Rank correlation: average ranks on ties, then Pearson on the ranks."""
+    x, y = _paired(x, y)
     return correlate(_average_ranks(x), _average_ranks(y))
 
 

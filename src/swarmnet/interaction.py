@@ -151,19 +151,28 @@ def build_network(log: InteractionLog, t: int, t_w: int) -> WeightedNetwork:
     return WeightedNetwork(n, t_w, flat.reshape(n, n))
 
 
+def destruction_curves(nets: list[WeightedNetwork]) -> list[DestructionCurve]:
+    """destruction_curve of each network, from one forest pass over all.
+
+    The networks must share their swarm size.
+    """
+    curves = []
+    for net, tree in zip(nets, _forest_weights(np.stack([net.weights for net in nets]))):
+        w_max = 2 * net.t_w  # mutual selection all window long
+        # at_least[k] = number of forest edges with weight >= k
+        at_least = np.bincount(tree[tree > 0], minlength=w_max + 1)[::-1].cumsum()[::-1]
+        thresholds = np.arange(w_max + 1) / w_max
+        curves.append(DestructionCurve(thresholds, net.n - at_least))
+    return curves
+
+
 def destruction_curve(net: WeightedNetwork) -> DestructionCurve:
     """Component counts over the full threshold grid k/(2*t_w), k = 0..2*t_w.
 
     Every distinct subgraph appears on this grid because weights are
     integers in [0, 2*t_w]. Threshold 0 keeps the same edges as k = 1.
     """
-    w_max = 2 * net.t_w  # mutual selection all window long
-    tree = _forest_weights(net.weights[None])[0]
-    forest = tree[tree > 0]
-    # at_least[k] = number of forest edges with weight >= k
-    at_least = np.bincount(forest, minlength=w_max + 1)[::-1].cumsum()[::-1]
-    thresholds = np.arange(w_max + 1) / w_max
-    return DestructionCurve(thresholds, net.n - at_least)
+    return destruction_curves([net])[0]
 
 
 def area_under_destruction(curve: DestructionCurve) -> float:

@@ -4,6 +4,13 @@ Every float is written with repr(), the shortest decimal string that
 round-trips to the same binary value, so repeated runs with the same seed
 diff byte-for-byte and write-then-read returns identical in-memory data.
 Iterations are 1-based in every file; particle indices are 0-based.
+
+The selection-log reader has two paths. A file in the writer's format (its
+header line, then lines of three digit runs of at most 18 digits, one line
+end throughout) is read as bytes and parsed column by column with numpy,
+in chunks of whole lines; rows in the writer's order are checked without a
+sort. Every other file is scanned row by row, which names the first bad
+line. Both give the same choices, or the same error text, on every file.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ from __future__ import annotations
 import csv
 from array import array
 from collections.abc import Iterator
-from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +72,11 @@ def _not_text(path, exc: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def _open(path):
-    """open(path, newline=""); a file that cannot be opened is an InputError."""
+def _open(path, mode="r"):
+    """open(path, mode), newline="" in text; a file that cannot be opened
+    is an InputError."""
     try:
-        return open(path, newline="")
+        return open(path, mode, newline=None if "b" in mode else "")
     except OSError as exc:
         raise InputError(f"{path}: cannot read ({exc.strerror})") from None
 
@@ -95,32 +102,77 @@ def _rows(path, header: list[str], width: int) -> Iterator[tuple[int, list[str]]
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-# Every digit as "0": a run of 19 marks a field that may not fit int64.
-_DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"000000000")
+# Body bytes per parse chunk, cut at a line end. A chunk's index arrays
+# take about ten times its bytes; 128 KiB keeps them small next to the
+# events and long enough that numpy's per-call cost stays small.
+_CHUNK = 1 << 17
 
 
-def _loadtxt_events(body: str) -> np.ndarray | None:
+def _parse_events(data: bytes) -> np.ndarray | None:
     """The log body as (rows, 3) int64 events, or None to leave it to the scan.
 
-    numpy takes only what the writer emits: digits, commas and line ends,
-    no field longer than 18 digits, and one row per line, so no blank line
-    was skipped. Such fields parse alike under int() and every numpy
-    release, which need not hold for any other byte. An iteration below 1
-    goes to the scan, whose message quotes the fields as written. Bytes
-    cost a quarter of the memory of a StringIO.
+    Takes one grammar only, the writer's: lines of three runs of 1-18 ASCII
+    digits joined by commas, each line ending in the same line end (\r\n,
+    \n or \r), the last one optionally. Such a field always fits int64 and
+    means what int() reads in it. Any other body, or an iteration below 1,
+    goes to the scan, whose message quotes the fields as written.
+
+    With its digits deleted the body must read ",," and the line end once
+    per line. It is then parsed in chunks of whole lines, so memory beyond
+    the events stays bounded: the separators' offsets bound every field,
+    which must hold 1-18 digits, and the fields' k-th last digits come in
+    one gather per k.
     """
-    data = body.encode()
-    if (not data.strip() or data.translate(None, b"0123456789,\r\n")
-            or b"0" * 19 in data.translate(_DIGITS_AS_ZERO)):
+    cr, lf = data.find(b"\r"), data.find(b"\n")
+    if 0 <= cr and not 0 <= lf < cr:
+        eol = b"\r\n" if lf == cr + 1 else b"\r"
+    else:
+        eol = b"\n"
+    if not data.endswith(eol):
+        data += eol
+    unit = b",," + eol
+    seps = data.translate(None, b"0123456789")
+    lines = len(seps) // len(unit)
+    if seps != unit * lines:
         return None
-    lines = (data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-             + (not data.endswith((b"\n", b"\r"))))
-    try:
-        events = np.loadtxt(BytesIO(data), delimiter=",", dtype=np.int64,
-                            comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if events.shape != (lines, 3) or (events[:, 0] < 1).any():
+    del seps
+    events = np.empty((lines, 3), dtype=np.int64)
+    fields = events.reshape(-1)
+    body = np.frombuffer(data, dtype=np.uint8)
+    lo = done = 0
+    while lo < len(data):
+        hi = data.find(eol, lo + _CHUNK - 1)
+        hi = len(data) if hi < 0 else hi + len(eol)
+        chunk = body[lo:hi]
+        # where each field ends: at a comma or at its line end's first byte
+        ends = chunk < ord("0")
+        if eol == b"\r\n":
+            ends &= chunk != ord("\n")
+        ends = np.flatnonzero(ends)
+        # one more than each field's digits: the distance from the previous
+        # end, less the line end's second byte before a line's first field
+        gaps = np.empty_like(ends)
+        gaps[0] = ends[0] + 1
+        np.subtract(ends[1:], ends[:-1], out=gaps[1:])
+        gaps[3::3] -= len(eol) - 1
+        if gaps.min() < 2 or gaps.max() > 19:
+            return None
+        # Right to left, the k-th last digit of every field at once. Past a
+        # field's first digit the position stops at the separator before
+        # it, which reads as digit 0.
+        digits = chunk - np.uint8(ord("0"))
+        digits *= chunk >= ord("0")
+        stop = ends - gaps
+        pos = ends - 1
+        out = fields[done:done + len(ends)]
+        out[:] = digits.take(pos)
+        for power in 10 ** np.arange(1, gaps.max() - 1, dtype=np.int64):
+            pos -= 1
+            np.maximum(pos, stop, out=pos)
+            out += digits.take(pos) * power
+        done += len(ends)
+        lo = hi
+    if (events[:, 0] < 1).any():
         return None
     return events
 
@@ -155,14 +207,24 @@ def _check_events(path, events: np.ndarray,
     Raises at the first line, in file order, whose neighbor is out of range
     or the particle itself, or whose (iteration, particle) pair came
     before; failing that, at the first missing pair in iteration-major
-    order. A stable sort by (iteration, particle) finds repeats and gaps
-    in memory bounded by the number of rows, whatever the values.
+    order. Rows in the writer's order can hold no repeat or gap and skip
+    the sort; otherwise a stable sort by (iteration, particle) finds
+    repeats and gaps in memory bounded by the number of rows, whatever
+    the values.
     """
     rows = len(events)
     if not rows:
         raise _parse_error(path, 2, "log contains no selection events")
     t, i, b = events.T
     n = int(i.max()) + 1
+    if not oversized and rows % n == 0:
+        # Rows in the writer's order, (k // n + 1, k % n) on row k, hold
+        # every pair once; a bad neighbor there takes the sort below.
+        grid_t, grid_i = t.reshape(-1, n), i.reshape(-1, n)
+        if ((grid_t == np.arange(1, len(grid_t) + 1)[:, None]).all()
+                and (grid_i == np.arange(n)).all()
+                and not ((b >= n) | (b == i)).any()):
+            return b.reshape(-1, n)
     order = np.lexsort((i, t))
     t_sorted, i_sorted = t[order], i[order]
     repeat = np.zeros(rows, dtype=bool)
@@ -196,6 +258,18 @@ def _check_events(path, events: np.ndarray,
     return choices
 
 
+def _writer_body(path) -> bytes:
+    """The bytes after the header line if it is the writer's, else b""."""
+    head = ",".join(LOG_HEADER).encode()
+    with _open(path, "rb") as fh:
+        start = fh.read(len(head) + 2)
+        for eol in (b"\r\n", b"\n", b"\r"):
+            if start.startswith(head + eol):
+                fh.seek(len(head) + len(eol))
+                return fh.read()
+    return b""
+
+
 def read_interaction_log(path) -> InteractionLog:
     """Parse a selection-event log back into memory.
 
@@ -204,20 +278,20 @@ def read_interaction_log(path) -> InteractionLog:
     itself: its own personal best never competes for best neighbor.
     Format and range errors anywhere outrank these checks.
 
-    numpy parses the body in one pass; a body it cannot vouch for (see
-    _loadtxt_events), including every malformed one, goes to the
-    row-by-row scan, which names the first bad line.
+    A file whose header line is the writer's and whose body is in the
+    writer's grammar is parsed column-wise from its bytes (_parse_events).
+    Any other file goes to the row-by-row scan, which names the first bad
+    line; a byte that is not UTF-8 after a log header names the file first.
     """
-    with _open(path) as fh:
-        try:
-            header = next(csv.reader(fh), None)
-            body = fh.read() if header == LOG_HEADER else ""
-        except UnicodeDecodeError as exc:
-            raise _not_text(path, exc) from None
-    events = _loadtxt_events(body)
-    del body  # as large as the file; the checks below peak without it
+    events = _parse_events(_writer_body(path))
     oversized = {}
     if events is None:
+        with _open(path) as fh:
+            try:
+                if next(csv.reader(fh), None) == LOG_HEADER:
+                    fh.read()  # decoded only to find a byte that is not UTF-8
+            except UnicodeDecodeError as exc:
+                raise _not_text(path, exc) from None
         events, oversized = _scan_events(path)
     return InteractionLog(_check_events(path, events, oversized))
 

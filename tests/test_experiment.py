@@ -212,6 +212,16 @@ class TestCorrelation:
         with pytest.raises(InputError):
             correlate((1, 2), (1, 2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_is_an_input_error(self, bad):
+        # A NaN r once passed the zero-variance check and was clipped to -1.0.
+        with pytest.raises(InputError, match="not finite"):
+            correlate([bad, 1, 2], [1, 2, 3])
+        with pytest.raises(InputError, match="not finite"):
+            correlate([1, 2, 3], [1, bad, 3])
+        with pytest.raises(InputError, match="not finite"):
+            spearman([bad, 1, 2], [1, 2, 3])
+
     def test_spearman_monotone_nonlinear(self):
         x = [1.0, 2.0, 3.0, 4.0]
         y = [v ** 3 for v in x]

@@ -16,6 +16,7 @@ from swarmnet.interaction import (
     build_network,
     clip_windows,
     destruction_curve,
+    destruction_curves,
     diversity_series,
     interaction_diversity,
 )
@@ -400,3 +401,17 @@ class TestProperties:
         )
         assert list(curve.components) == expected
         assert np.all(np.diff(curve.components) >= 0)
+
+    @settings(derandomize=True, deadline=None)
+    @given(_series_cases())
+    def test_batched_curves_match_oracle(self, case):
+        # Every clipped window of the last iteration in one forest pass, as
+        # the analyze and destruction commands take them.
+        log, windows, _ = case
+        t = len(log)
+        clipped = sorted(set(clip_windows(windows, t)))
+        curves = destruction_curves([build_network(log, t, w) for w in clipped])
+        for t_w, curve in zip(clipped, curves, strict=True):
+            expected = oracle_curve(log.n, oracle_weights(log.choices.tolist(), t, t_w), t_w)
+            assert list(curve.components) == expected
+            assert curve.thresholds.tolist() == [k / (2 * t_w) for k in range(2 * t_w + 1)]

@@ -1,12 +1,14 @@
 """Log reader and writer checks against the row-by-row reference reader.
 
-`io.read_interaction_log` parses with numpy and checks every event in
-bulk; `oracle.oracle_read_log` checks one row at a time. On every file
+`io.read_interaction_log` parses the writer's bytes column-wise, in chunks
+of whole lines, and checks every event in bulk; `oracle.oracle_read_log`
+checks one row at a time. On every file, and at every chunk size tried,
 both must give the same choices or the same error text.
 """
 
 import csv
 import re
+import tracemalloc
 from io import StringIO
 
 import numpy as np
@@ -141,17 +143,89 @@ def _loadtxt_via_float(fname, **kwargs):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_reader_matches_oracle_when_numpy_parses_ints_via_float(tmp_path, monkeypatch, name):
-    # Only digits, commas and line ends may reach numpy, in fields of at most
-    # 18 digits; older numpy turns "1.5" into 1 and 10**20 into garbage.
+    # The reader parses its own digits; older numpy, which turns "1.5" into
+    # 1 and 10**20 into garbage, must change no outcome.
     monkeypatch.setattr(io.np, "loadtxt", _loadtxt_via_float)
     path = _write(tmp_path, name, CORPUS[name])
     assert _outcome(path) == _oracle_outcome(path)
 
 
-def test_writer_bytes_take_the_numpy_path():
-    body = "1,0,1\r\n1,1," + "9" * 18 + "\r\n"
-    assert io._loadtxt_events(body).tolist() == [[1, 0, 1], [1, 1, 10**18 - 1]]
-    assert io._loadtxt_events(body.replace("9" * 18, "0" * 18 + "1")) is None
+# Chunks this small cut the body at nearly every line end, so every field
+# position within a chunk is tried.
+SMALL_CHUNKS = range(1, 17)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_reader_matches_oracle_on_corpus_in_small_chunks(tmp_path, monkeypatch, name):
+    path = _write(tmp_path, name, CORPUS[name])
+    expected = _oracle_outcome(path)
+    for chunk in SMALL_CHUNKS:
+        monkeypatch.setattr(io, "_CHUNK", chunk)
+        assert _outcome(path) == expected, chunk
+
+
+def _writer_log(tmp_path, n, total, seed):
+    """A self-free (total, n) choices array and the writer's log of it."""
+    rng = np.random.default_rng(seed)
+    choices = rng.integers(0, n - 1, size=(total, n))
+    choices += choices >= np.arange(n)
+    path = tmp_path / "log.csv"
+    io.write_interaction_log(path, InteractionLog(choices))
+    return choices, path
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the writer's bytes must take the column-wise parser")
+
+
+def test_writer_output_takes_the_column_parser(tmp_path, monkeypatch):
+    # 100 x 200 rows span two default chunks.
+    choices, path = _writer_log(tmp_path, n=100, total=200, seed=3)
+    crlf = path.read_bytes()
+    monkeypatch.setattr(io, "_scan_events", _refuse)
+    monkeypatch.setattr(io.np, "loadtxt", _refuse)
+    for eol in (b"\r\n", b"\n", b"\r"):
+        path.write_bytes(crlf.replace(b"\r\n", eol))
+        assert np.array_equal(io.read_interaction_log(path).choices, choices), eol
+
+
+def test_writer_bytes_take_parse_events():
+    body = b"1,0,1\r\n1,1," + b"9" * 18 + b"\r\n"
+    assert io._parse_events(body).tolist() == [[1, 0, 1], [1, 1, 10**18 - 1]]
+    assert io._parse_events(body.replace(b"9" * 18, b"0" * 18 + b"1")) is None
+
+
+@pytest.mark.parametrize("rows,line", [
+    ({4: "2,1,1"}, 6),
+    ({1: "1,1,7"}, 3),
+    ({4: "2,1,1", 2: "1,2,3"}, 4),
+    ({5: "2,2,2", 0: "1,0,9"}, 2),
+])
+def test_bad_neighbor_in_writer_order_matches_oracle(tmp_path, rows, line):
+    # Rows in the writer's order skip the sort unless a neighbor is bad.
+    text = _file([rows.get(k, row) for k, row in enumerate(ROWS)], eol="\r\n")
+    path = _write(tmp_path, "ordered", text)
+    outcome = _outcome(path)
+    assert outcome == _oracle_outcome(path)
+    assert outcome.startswith(f"{path}:{line}: ")
+
+
+# tracemalloc peak, in bytes, of a first read of _writer_log(n=100,
+# total=2000, seed=5) by the np.loadtxt reader this parser replaced
+# (numpy 2.4.6, Python 3.11). The column-wise parser must not exceed it.
+LOADTXT_READER_PEAK = 13_206_114
+
+
+def test_reader_memory_stays_below_the_loadtxt_reader(tmp_path):
+    choices, path = _writer_log(tmp_path, n=100, total=2000, seed=5)
+    tracemalloc.start()
+    try:
+        log = io.read_interaction_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(log.choices, choices)
+    assert peak <= LOADTXT_READER_PEAK
 
 
 def test_empty_file_names_missing_header(tmp_path):
@@ -228,6 +302,15 @@ def mutated_logs(draw):
 def test_reader_matches_oracle_on_mutated_logs(tmp_path_factory, text):
     path = _write(tmp_path_factory.mktemp("log"), "log", text)
     assert _outcome(path) == _oracle_outcome(path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=mutated_logs(), chunk=st.sampled_from(SMALL_CHUNKS))
+def test_reader_matches_oracle_on_mutated_logs_in_small_chunks(tmp_path_factory, text, chunk):
+    path = _write(tmp_path_factory.mktemp("log"), "log", text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_CHUNK", chunk)
+        assert _outcome(path) == _oracle_outcome(path)
 
 
 def _csv_reference(choices):
