@@ -159,7 +159,9 @@ def _parse_events(data: bytes) -> np.ndarray | None:
             return None
         # Right to left, the k-th last digit of every field at once. Past a
         # field's first digit the position stops at the separator before
-        # it, which reads as digit 0.
+        # it, which reads as digit 0. Each product is taken in int64: numpy
+        # before 2.0 would keep uint8 digits times 10**k in the smallest
+        # type that holds 10**k, and wrap.
         digits = chunk - np.uint8(ord("0"))
         digits *= chunk >= ord("0")
         stop = ends - gaps
@@ -169,7 +171,7 @@ def _parse_events(data: bytes) -> np.ndarray | None:
         for power in 10 ** np.arange(1, gaps.max() - 1, dtype=np.int64):
             pos -= 1
             np.maximum(pos, stop, out=pos)
-            out += digits.take(pos) * power
+            out += np.multiply(digits.take(pos), power, dtype=np.int64)
         done += len(ends)
         lo = hi
     if (events[:, 0] < 1).any():
@@ -224,7 +226,7 @@ def _check_events(path, events: np.ndarray,
         if ((grid_t == np.arange(1, len(grid_t) + 1)[:, None]).all()
                 and (grid_i == np.arange(n)).all()
                 and not ((b >= n) | (b == i)).any()):
-            return b.reshape(-1, n)
+            return np.ascontiguousarray(b).reshape(-1, n)
     order = np.lexsort((i, t))
     t_sorted, i_sorted = t[order], i[order]
     repeat = np.zeros(rows, dtype=bool)

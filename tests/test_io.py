@@ -143,8 +143,9 @@ def _loadtxt_via_float(fname, **kwargs):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_reader_matches_oracle_when_numpy_parses_ints_via_float(tmp_path, monkeypatch, name):
-    # The reader parses its own digits; older numpy, which turns "1.5" into
-    # 1 and 10**20 into garbage, must change no outcome.
+    # The reader parses its own digits and calls no np.loadtxt; should one
+    # come back, older numpy, which turns "1.5" into 1 and 10**20 into
+    # garbage, must still change no outcome.
     monkeypatch.setattr(io.np, "loadtxt", _loadtxt_via_float)
     path = _write(tmp_path, name, CORPUS[name])
     assert _outcome(path) == _oracle_outcome(path)
@@ -183,16 +184,31 @@ def test_writer_output_takes_the_column_parser(tmp_path, monkeypatch):
     choices, path = _writer_log(tmp_path, n=100, total=200, seed=3)
     crlf = path.read_bytes()
     monkeypatch.setattr(io, "_scan_events", _refuse)
-    monkeypatch.setattr(io.np, "loadtxt", _refuse)
     for eol in (b"\r\n", b"\n", b"\r"):
         path.write_bytes(crlf.replace(b"\r\n", eol))
-        assert np.array_equal(io.read_interaction_log(path).choices, choices), eol
+        read = io.read_interaction_log(path).choices
+        assert np.array_equal(read, choices), eol
+        # a (T, n) array of its own, as the sorting check builds, that
+        # keeps no (rows, 3) events alive
+        assert read.flags.c_contiguous
+        assert read.base is None or read.base.nbytes == read.nbytes
 
 
 def test_writer_bytes_take_parse_events():
     body = b"1,0,1\r\n1,1," + b"9" * 18 + b"\r\n"
     assert io._parse_events(body).tolist() == [[1, 0, 1], [1, 1, 10**18 - 1]]
     assert io._parse_events(body.replace(b"9" * 18, b"0" * 18 + b"1")) is None
+
+
+def test_parse_events_sums_digits_in_int64():
+    # Every digit position times its power of ten must not wrap in a small
+    # integer type, as uint8 digits times 10**k do under numpy 1.x casting.
+    fields = ["300", "999", "399", "9" * 18, "4000", "65536", "70000000000",
+              "123456789012345678", "1", "256", "1000", "65535"]
+    body = "".join(",".join(fields[k:k + 3]) + "\n" for k in range(0, len(fields), 3))
+    events = io._parse_events(body.encode())
+    assert events.dtype == np.int64
+    assert events.reshape(-1).tolist() == [int(v) for v in fields]
 
 
 @pytest.mark.parametrize("rows,line", [
