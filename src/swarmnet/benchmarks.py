@@ -60,6 +60,8 @@ class ObjectiveSpec:
     def validate(self) -> None:
         if self.dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {self.dimension}")
+        if self.domain_seed < 0:
+            raise ConfigurationError(f"domain_seed must be >= 0, got {self.domain_seed}")
         m = self.group_size
         if self.function_id is FunctionId.F6:
             if not 1 <= m <= self.dimension:

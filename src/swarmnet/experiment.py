@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"repetitions must be >= 1, got {self.repetitions}"
             )
+        if self.base_seed < 0:
+            raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.topologies:
             raise ConfigurationError("topology list must be non-empty")
         if not self.windows:

@@ -5,18 +5,19 @@ round-trips to the same binary value, so repeated runs with the same seed
 diff byte-for-byte and write-then-read returns identical in-memory data.
 Iterations are 1-based in every file; particle indices are 0-based.
 
-The selection-log reader has two paths. A file in the writer's format (its
-header line, then lines of three digit runs of at most 18 digits, one line
-end throughout) is read as bytes and parsed column by column with numpy,
-in chunks of whole lines; rows in the writer's order are checked without a
-sort. Every other file is scanned row by row, which names the first bad
-line. Both give the same choices, or the same error text, on every file.
+A selection log has one grammar, the one write_interaction_log writes: the
+header line iteration,particle,best_neighbor, then lines of three runs of
+1-18 ASCII digits joined by commas, every line ending in the header's line
+end (\r\n, \n or \r), the last one optionally. The body is parsed column
+by column with numpy, in chunks of whole lines, and rows in the writer's
+order are checked without a sort. Any other file is an InputError that
+names its first bad line.
 """
 
 from __future__ import annotations
 
 import csv
-from array import array
+import re
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .pso import InteractionLog, RunTrace
 from .topology import TopologyKind
 
 LOG_HEADER = ["iteration", "particle", "best_neighbor"]
+_LOG_HEAD = ",".join(LOG_HEADER).encode()
 TRACE_HEADER = ["iteration", "global_best_fitness", "fitness_improvement"]
 DIVERSITY_HEADER = ["iteration", "id_value"]
 DESTRUCTION_HEADER = ["t_w", "threshold", "component_count"]
@@ -101,21 +103,33 @@ def _rows(path, header: list[str], width: int) -> Iterator[tuple[int, list[str]]
             raise _not_text(path, exc) from None
 
 
-_INT64_MAX = np.iinfo(np.int64).max
 # Body bytes per parse chunk, cut at a line end. A chunk's index arrays
 # take about ten times its bytes; 128 KiB keeps them small next to the
 # events and long enough that numpy's per-call cost stays small.
 _CHUNK = 1 << 17
 
 
-def _parse_events(data: bytes) -> np.ndarray | None:
-    """The log body as (rows, 3) int64 events, or None to leave it to the scan.
+def _log_eol(start: bytes) -> bytes | None:
+    """The line end after the log header that start opens with, b"" if the
+    file ends with the header, or None if start does not open with it.
 
-    Takes one grammar only, the writer's: lines of three runs of 1-18 ASCII
-    digits joined by commas, each line ending in the same line end (\r\n,
-    \n or \r), the last one optionally. Such a field always fits int64 and
-    means what int() reads in it. Any other body, or an iteration below 1,
-    goes to the scan, whose message quotes the fields as written.
+    start holds the file's first len(_LOG_HEAD) + 2 bytes, or all of a
+    shorter file.
+    """
+    if not start.startswith(_LOG_HEAD):
+        return None
+    rest = start[len(_LOG_HEAD):]
+    eol = b"\r\n" if rest.startswith(b"\r\n") else rest[:1]
+    return eol if eol in (b"\r\n", b"\n", b"\r", b"") else None
+
+
+def _parse_events(data: bytes, eol: bytes) -> np.ndarray | None:
+    """The log body as (rows, 3) int64 events, or None if it breaks the grammar.
+
+    eol is the header's line end. Every line must hold three runs of 1-18
+    ASCII digits joined by commas and end in eol, the last one optionally,
+    and no iteration may be 0. Such a field always fits int64 and means
+    what int() reads in it.
 
     With its digits deleted the body must read ",," and the line end once
     per line. It is then parsed in chunks of whole lines, so memory beyond
@@ -123,12 +137,7 @@ def _parse_events(data: bytes) -> np.ndarray | None:
     which must hold 1-18 digits, and the fields' k-th last digits come in
     one gather per k.
     """
-    cr, lf = data.find(b"\r"), data.find(b"\n")
-    if 0 <= cr and not 0 <= lf < cr:
-        eol = b"\r\n" if lf == cr + 1 else b"\r"
-    else:
-        eol = b"\n"
-    if not data.endswith(eol):
+    if data and not data.endswith(eol):
         data += eol
     unit = b",," + eol
     seps = data.translate(None, b"0123456789")
@@ -159,9 +168,8 @@ def _parse_events(data: bytes) -> np.ndarray | None:
             return None
         # Right to left, the k-th last digit of every field at once. Past a
         # field's first digit the position stops at the separator before
-        # it, which reads as digit 0. Each product is taken in int64: numpy
-        # before 2.0 would keep uint8 digits times 10**k in the smallest
-        # type that holds 10**k, and wrap.
+        # it, which reads as digit 0. Each product is taken in int64, where
+        # no uint8 digit times 10**k can wrap.
         digits = chunk - np.uint8(ord("0"))
         digits *= chunk >= ord("0")
         stop = ends - gaps
@@ -179,31 +187,28 @@ def _parse_events(data: bytes) -> np.ndarray | None:
     return events
 
 
-def _scan_events(path) -> tuple[np.ndarray, dict[int, tuple[int, int, int]]]:
-    """Parse row by row, raising at the first format or range error.
+def _first_bad_line(path, body: bytes, eol: bytes) -> InputError:
+    """The error at the first line of a body _parse_events refused.
 
-    A value beyond int64 is stored as the int64 maximum; the returned dict
-    maps each such row to its values as written, and the event checks
-    report that row as out of range.
+    Within a line, a field count other than 3 comes first, then a field
+    that is not 1-18 ASCII digits, then iteration 0.
     """
-    events = array("q")
-    oversized = {}
-    for line_no, row in _rows(path, LOG_HEADER, 3):
-        try:
-            t, i, b = (int(v) for v in row)
-        except ValueError:
-            raise _parse_error(path, line_no, f"non-integer field in {row}")
-        if t < 1 or i < 0 or b < 0:
-            raise _parse_error(path, line_no, f"out-of-range values {row}")
-        if max(t, i, b) > _INT64_MAX:
-            oversized[line_no - 2] = (t, i, b)
-            t, i, b = (min(v, _INT64_MAX) for v in (t, i, b))
-        events.extend((t, i, b))
-    return np.frombuffer(events, dtype=np.int64).reshape(-1, 3), oversized
+    lines = body.split(eol) if body else []
+    if lines and not lines[-1]:
+        lines.pop()
+    for line_no, line in enumerate(lines, start=2):
+        fields = line.decode(errors="replace").split(",")
+        if len(fields) != 3:
+            return _parse_error(path, line_no, f"expected 3 fields, got {len(fields)}")
+        if not all(re.fullmatch("[0-9]{1,18}", v) for v in fields):
+            return _parse_error(path, line_no,
+                                f"expected 1-18 digits per field, got {fields}")
+        if int(fields[0]) == 0:
+            return _parse_error(path, line_no, f"out-of-range values {fields}")
+    raise AssertionError(f"{path}: the column parser refused a body in the log grammar")
 
 
-def _check_events(path, events: np.ndarray,
-                  oversized: dict[int, tuple[int, int, int]]) -> np.ndarray:
+def _check_events(path, events: np.ndarray) -> np.ndarray:
     """The (T, n) choices of parsed events; row k is line k + 2.
 
     Raises at the first line, in file order, whose neighbor is out of range
@@ -219,7 +224,7 @@ def _check_events(path, events: np.ndarray,
         raise _parse_error(path, 2, "log contains no selection events")
     t, i, b = events.T
     n = int(i.max()) + 1
-    if not oversized and rows % n == 0:
+    if rows % n == 0:
         # Rows in the writer's order, (k // n + 1, k % n) on row k, hold
         # every pair once; a bad neighbor there takes the sort below.
         grid_t, grid_i = t.reshape(-1, n), i.reshape(-1, n)
@@ -232,11 +237,10 @@ def _check_events(path, events: np.ndarray,
     repeat = np.zeros(rows, dtype=bool)
     repeat[order[1:]] = (t_sorted[1:] == t_sorted[:-1]) & (i_sorted[1:] == i_sorted[:-1])
     out_of_range = b >= n
-    out_of_range[list(oversized)] = True
     bad = np.flatnonzero(out_of_range | (b == i) | repeat)
     if len(bad):
         k = int(bad[0])
-        event = oversized.get(k) or tuple(int(v) for v in events[k])
+        event = tuple(int(v) for v in events[k])
         if out_of_range[k]:
             detail = f"particle index out of range in {event}"
         elif b[k] == i[k]:
@@ -260,42 +264,37 @@ def _check_events(path, events: np.ndarray,
     return choices
 
 
-def _writer_body(path) -> bytes:
-    """The bytes after the header line if it is the writer's, else b""."""
-    head = ",".join(LOG_HEADER).encode()
+def _log_body(path) -> tuple[bytes, bytes]:
+    """(the header's line end, the bytes after it) of a selection log.
+
+    Raises at line 1 unless the file opens with the header line.
+    """
     with _open(path, "rb") as fh:
-        start = fh.read(len(head) + 2)
-        for eol in (b"\r\n", b"\n", b"\r"):
-            if start.startswith(head + eol):
-                fh.seek(len(head) + len(eol))
-                return fh.read()
-    return b""
+        start = fh.read(len(_LOG_HEAD) + 2)
+        eol = _log_eol(start)
+        if eol is None:
+            first = (start + fh.readline()).splitlines()[:1]
+            got = first[0].decode(errors="replace").split(",") if first else None
+            raise _parse_error(path, 1, f"expected header {LOG_HEADER}, got {got}")
+        fh.seek(len(_LOG_HEAD) + len(eol))
+        return eol, fh.read()
 
 
 def read_interaction_log(path) -> InteractionLog:
     """Parse a selection-event log back into memory.
 
-    The file must contain every (iteration, particle) pair exactly once
-    for iterations 1..T and particles 0..n-1, and no particle may select
-    itself: its own personal best never competes for best neighbor.
-    Format and range errors anywhere outrank these checks.
-
-    A file whose header line is the writer's and whose body is in the
-    writer's grammar is parsed column-wise from its bytes (_parse_events).
-    Any other file goes to the row-by-row scan, which names the first bad
-    line; a byte that is not UTF-8 after a log header names the file first.
+    The file must be in the writer's grammar (see the module docstring);
+    otherwise the error names its first line that is not, a byte that is
+    not UTF-8 included. It must then contain every (iteration, particle)
+    pair exactly once for iterations 1..T and particles 0..n-1, and no
+    particle may select itself: its own personal best never competes for
+    best neighbor. Format errors anywhere outrank these checks.
     """
-    events = _parse_events(_writer_body(path))
-    oversized = {}
+    eol, body = _log_body(path)
+    events = _parse_events(body, eol)
     if events is None:
-        with _open(path) as fh:
-            try:
-                if next(csv.reader(fh), None) == LOG_HEADER:
-                    fh.read()  # decoded only to find a byte that is not UTF-8
-            except UnicodeDecodeError as exc:
-                raise _not_text(path, exc) from None
-        events, oversized = _scan_events(path)
-    return InteractionLog(_check_events(path, events, oversized))
+        raise _first_bad_line(path, body, eol)
+    return InteractionLog(_check_events(path, events))
 
 
 def write_run_trace(path, trace: RunTrace) -> None:
@@ -376,20 +375,18 @@ def read_summary(path) -> list[SummaryRow]:
 
 
 def find_log_files(root) -> list[Path]:
-    """All CSV files under root whose header marks them as selection logs.
+    """All CSV files under root that open with the selection-log header line.
 
-    A header that is not UTF-8 marks no log; such a file is skipped, as is
-    one that cannot be opened. A log with a bad byte past its header is
-    found, and its reader names the file.
+    A file that cannot be opened is skipped. A log with a bad line past its
+    header is found, and its reader names that line.
     """
-    root = Path(root)
     found = []
-    for path in sorted(root.rglob("*.csv")):
+    for path in sorted(Path(root).rglob("*.csv")):
         try:
-            with open(path, newline="", errors="replace") as fh:
-                header = next(csv.reader(fh), None)
+            with open(path, "rb") as fh:
+                start = fh.read(len(_LOG_HEAD) + 2)
         except OSError:
             continue
-        if header == LOG_HEADER:
+        if _log_eol(start) is not None:
             found.append(path)
     return found

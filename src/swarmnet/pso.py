@@ -216,24 +216,17 @@ def _move_rows(swarm: Swarm, params: PsoParams, choices: np.ndarray,
 
 def step(swarm: Swarm, g: topo.TopologyGraph, params: PsoParams,
          objective, rng: np.random.Generator,
-         work: _Workspace | None = None) -> tuple[np.ndarray, float]:
-    """Advance the swarm one iteration in place.
+         work: _Workspace) -> tuple[np.ndarray, float]:
+    """Advance the swarm one iteration in place, in the buffers and row
+    blocks of the run's workspace.
 
     Returns (choice vector, new global best fitness). Personal bests update
-    on strict improvement only. `run` passes its workspace; without one the
-    step allocates its own buffers and works on one row block.
+    on strict improvement only.
     """
-    n, d = swarm.positions.shape
-    if work is None:
-        work = _Workspace(n, d)
     choices = _best_neighbors(swarm, g)
-    rng.random((n, d, 2), out=work.u)
+    rng.random(work.u.shape, out=work.u)
     work.rows(partial(_move_rows, swarm, params, choices, work))
-    # One block needs no runner, so any evaluate_many(xs) serves there.
-    if len(work.bounds) == 1:
-        fitness = objective.evaluate_many(swarm.positions)
-    else:
-        fitness = objective.evaluate_many(swarm.positions, rows=work.rows)
+    fitness = objective.evaluate_many(swarm.positions, rows=work.rows)
     _check_finite(fitness)
     improved = fitness < swarm.pbest_fitness
     np.copyto(swarm.pbest, swarm.positions, where=improved[:, None])

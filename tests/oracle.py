@@ -6,16 +6,15 @@ The diversity formula follows the same association order as the package
 (sum areas, one division, one subtraction) so agreement is exact, while
 every intermediate quantity is produced by independent code.
 
-`oracle_read_log` is the row-by-row log reader the package used before its
-column-wise one, on plain lists; it raises LogError with the text the
-package's InputError carries.
+`oracle_read_log` reads a selection log one line at a time, on plain lists,
+in the one grammar the package's writer produces; it raises LogError with
+the text the package's InputError carries.
 
 `oracle_topology` is the set-based topology construction the package used
 before its closed forms; it raises TopologyError with the text the
 package's ConfigurationError carries.
 """
 
-import csv
 import math
 from collections import deque
 
@@ -79,23 +78,37 @@ def oracle_topology(kind_value, n, k=None):
 
 
 def oracle_read_log(path):
-    """choices[t-1][i] of a selection log, checked one row at a time."""
+    """choices[t-1][i] of a selection log, checked one row at a time.
+
+    The file opens with the header line; every later line holds three runs
+    of 1-18 ASCII digits joined by commas and ends in the header's line
+    end, the last one optionally.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = ",".join(LOG_HEADER).encode()
+    if data == head:
+        eol = b""
+    else:
+        eol = next((e for e in (b"\r\n", b"\n", b"\r") if data.startswith(head + e)), None)
+    if eol is None:
+        got = data.splitlines()[0].decode(errors="replace").split(",") if data else None
+        raise LogError(f"{path}:1: expected header {LOG_HEADER}, got {got}")
+    body = data[len(head) + len(eol):]
+    lines = body.split(eol) if body else []
+    if lines and lines[-1] == b"":
+        del lines[-1]
     entries = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LOG_HEADER:
-            raise LogError(f"{path}:1: expected header {LOG_HEADER}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise LogError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            try:
-                t, i, b = (int(v) for v in row)
-            except ValueError:
-                raise LogError(f"{path}:{line_no}: non-integer field in {row}")
-            if t < 1 or i < 0 or b < 0:
-                raise LogError(f"{path}:{line_no}: out-of-range values {row}")
-            entries.append((t, i, b, line_no))
+    for line_no, line in enumerate(lines, start=2):
+        row = line.decode(errors="replace").split(",")
+        if len(row) != 3:
+            raise LogError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
+        if not all(1 <= len(v) <= 18 and set(v) <= set("0123456789") for v in row):
+            raise LogError(f"{path}:{line_no}: expected 1-18 digits per field, got {row}")
+        t, i, b = (int(v) for v in row)
+        if t < 1:
+            raise LogError(f"{path}:{line_no}: out-of-range values {row}")
+        entries.append((t, i, b, line_no))
     if not entries:
         raise LogError(f"{path}:2: log contains no selection events")
     total = max(t for t, _, _, _ in entries)

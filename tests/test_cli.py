@@ -226,6 +226,20 @@ class TestCliCommands:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("args,message", [
+        (["--seed", "-1"], "base_seed must be >= 0, got -1"),
+        (["--set", "function=f2", "--set", "domain_seed=-3"],
+         "domain_seed must be >= 0, got -3"),
+        (["--set", "domain_seed=-3"], "domain_seed must be >= 0, got -3"),
+    ])
+    def test_negative_seed_is_a_configuration_error(self, tiny_config, tmp_path,
+                                                    caplog, args, message):
+        # numpy's SeedSequence refuses negative seeds; validation names them first.
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config), *args, "--out", str(out)]) == 1
+        assert caplog.messages == [f"configuration error: {message}"]
+        assert not out.exists()
+
     def test_run_seed_flag_changes_result(self, tiny_config, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -375,8 +389,9 @@ class TestCliCommands:
         path = tmp_path / "log.csv"
         path.write_bytes(b"iteration,particle,best_neighbor\r\n1,0,1\r\n1,1,\xff\r\n")
         assert main(["destruction", str(path), "--out", str(tmp_path / "d")]) == 2
-        assert f"{path}: not UTF-8 text" in caplog.text
-        assert "unexpected failure" not in caplog.text
+        # The bad byte is a field that is not digits, on the line it is in.
+        assert caplog.messages == [
+            f"{path}:3: expected 1-18 digits per field, got ['1', '1', '\ufffd']"]
 
     def test_unreadable_log_exits_two(self, tmp_path, caplog):
         missing = tmp_path / "missing.csv"

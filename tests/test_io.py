@@ -2,8 +2,9 @@
 
 `io.read_interaction_log` parses the writer's bytes column-wise, in chunks
 of whole lines, and checks every event in bulk; `oracle.oracle_read_log`
-checks one row at a time. On every file, and at every chunk size tried,
-both must give the same choices or the same error text.
+checks one row at a time. Both take the writer's grammar only. On every
+file, and at every chunk size tried, both must give the same choices or
+the same error text.
 """
 
 import csv
@@ -183,7 +184,7 @@ def test_writer_output_takes_the_column_parser(tmp_path, monkeypatch):
     # 100 x 200 rows span two default chunks.
     choices, path = _writer_log(tmp_path, n=100, total=200, seed=3)
     crlf = path.read_bytes()
-    monkeypatch.setattr(io, "_scan_events", _refuse)
+    monkeypatch.setattr(io, "_first_bad_line", _refuse)
     for eol in (b"\r\n", b"\n", b"\r"):
         path.write_bytes(crlf.replace(b"\r\n", eol))
         read = io.read_interaction_log(path).choices
@@ -196,17 +197,18 @@ def test_writer_output_takes_the_column_parser(tmp_path, monkeypatch):
 
 def test_writer_bytes_take_parse_events():
     body = b"1,0,1\r\n1,1," + b"9" * 18 + b"\r\n"
-    assert io._parse_events(body).tolist() == [[1, 0, 1], [1, 1, 10**18 - 1]]
-    assert io._parse_events(body.replace(b"9" * 18, b"0" * 18 + b"1")) is None
+    assert io._parse_events(body, b"\r\n").tolist() == [[1, 0, 1], [1, 1, 10**18 - 1]]
+    assert io._parse_events(body.replace(b"9" * 18, b"0" * 18 + b"1"), b"\r\n") is None
+    assert io._parse_events(body, b"\n") is None
 
 
 def test_parse_events_sums_digits_in_int64():
     # Every digit position times its power of ten must not wrap in a small
-    # integer type, as uint8 digits times 10**k do under numpy 1.x casting.
+    # integer type, as uint8 digits times 10**k would.
     fields = ["300", "999", "399", "9" * 18, "4000", "65536", "70000000000",
               "123456789012345678", "1", "256", "1000", "65535"]
     body = "".join(",".join(fields[k:k + 3]) + "\n" for k in range(0, len(fields), 3))
-    events = io._parse_events(body.encode())
+    events = io._parse_events(body.encode(), b"\n")
     assert events.dtype == np.int64
     assert events.reshape(-1).tolist() == [int(v) for v in fields]
 
@@ -251,17 +253,19 @@ def test_empty_file_names_missing_header(tmp_path):
 
 
 def test_value_above_int64_in_b_keeps_its_digits(tmp_path):
+    # More than 18 digits break the grammar; the message quotes the line.
     path = _write(tmp_path, "big", CORPUS["above_int64"])
-    with pytest.raises(InputError, match=rf"big\.csv:6: particle index out of range in \(2, 1, {BIG}\)"):
+    expected = f"big.csv:6: expected 1-18 digits per field, got ['2', '1', '{BIG}']"
+    with pytest.raises(InputError, match=re.escape(expected) + "$"):
         io.read_interaction_log(path)
 
 
 @pytest.mark.parametrize("row", [f"{BIG},0,1", f"1,{BIG},0"])
 def test_value_above_int64_in_t_or_i_is_an_input_error(tmp_path, row):
-    # The row-by-row reader sized its choices array from these values and failed
-    # with a numpy error; the column-wise reader names the line.
+    # Were such a value parsed, it would size the choices array; the
+    # reader names its line as a format error instead.
     path = _write(tmp_path, "big", _file(ROWS + [row]))
-    with pytest.raises(InputError, match=r"big\.csv:8: particle index out of range"):
+    with pytest.raises(InputError, match=r"big\.csv:8: expected 1-18 digits per field"):
         io.read_interaction_log(path)
 
 
@@ -272,9 +276,24 @@ def test_far_iteration_is_missing_events_not_an_allocation(tmp_path):
 
 
 def test_wide_particle_index_is_missing_events(tmp_path):
-    path = _write(tmp_path, "wide", _file(["1,0,1", "1,9223372036854775807,0"]))
+    # The widest index the grammar takes, 18 digits, allocates nothing;
+    # one digit more is a format error at its line.
+    path = _write(tmp_path, "wide", _file(["1,0,1", "1," + "9" * 18 + ",0"]))
     with pytest.raises(InputError, match=r"missing event for iteration 1, particle 1$"):
         io.read_interaction_log(path)
+    path = _write(tmp_path, "wide", _file(["1,0,1", "1,9223372036854775807,0"]))
+    with pytest.raises(InputError, match=r"wide\.csv:3: expected 1-18 digits per field"):
+        io.read_interaction_log(path)
+
+
+@pytest.mark.parametrize("head_eol,body_eol", [
+    ("\r\n", "\n"), ("\n", "\r\n"), ("\r", "\n"), ("\n", "\r"), ("\r\n", "\r"),
+])
+def test_body_line_ends_must_be_the_headers(tmp_path, head_eol, body_eol):
+    path = _write(tmp_path, "mixed", HEADER + head_eol + body_eol.join(ROWS) + body_eol)
+    outcome = _outcome(path)
+    assert outcome == _oracle_outcome(path)
+    assert outcome.startswith(f"{path}:2: ")
 
 
 # Field tokens for mutated logs: ones both readers take, and ones they refuse.
@@ -380,11 +399,13 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader, header, row):
     path = tmp_path / "t.csv"
     head = (",".join(header) + "\n").encode()
     rows = (row + "\n").encode()
-    # In the header, in the first rows, and past the first read buffer.
-    for data in (b"\xff" + head + rows, head + rows + b"\xff\n",
-                 head + rows * 2000 + b"1,\xff\n"):
+    # In the header, in the first rows, and past the first read buffer. The
+    # tables name the file; a selection log names the line the byte is in.
+    for line_no, data in ((1, b"\xff" + head + rows), (3, head + rows + b"\xff\n"),
+                          (2002, head + rows * 2000 + b"1,\xff\n")):
         path.write_bytes(data)
-        with pytest.raises(InputError, match=r"t\.csv: not UTF-8 text"):
+        where = f"t.csv:{line_no}: " if reader is io.read_interaction_log else "t.csv: not UTF-8 text"
+        with pytest.raises(InputError, match=re.escape(where)):
             reader(path)
 
 
@@ -394,3 +415,16 @@ def test_find_log_files_skips_files_that_are_not_text(tmp_path):
     (tmp_path / "log.csv").write_bytes(head + b"1,0,1\n1,1,\xff\n")
     # The log's header marks it as a log; its reader then names the bad byte.
     assert io.find_log_files(tmp_path) == [tmp_path / "log.csv"]
+
+
+def test_find_log_files_takes_the_readers_header(tmp_path):
+    # A file is found exactly when the reader takes its header line. A
+    # quoted header, which csv reads as the log header, is neither.
+    for name, text in CORPUS.items():
+        _write(tmp_path, name, text)
+    found = {path.stem for path in io.find_log_files(tmp_path)}
+    header_errors = {name for name in CORPUS
+                     if str(_outcome(tmp_path / f"{name}.csv")).startswith(
+                         f"{tmp_path / name}.csv:1: ")}
+    assert "quoted_header" in header_errors
+    assert found == set(CORPUS) - header_errors

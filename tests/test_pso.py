@@ -122,7 +122,7 @@ class TestStep:
         ref_rng.uniform(*objective.bounds, (4, 3))
         draws = ref_rng.random((4, 3, 2))
 
-        choices, f_g = step(swarm, g, params, objective, rng)
+        choices, f_g = step(swarm, g, params, objective, rng, _Workspace(4, 3))
 
         for i in range(4):
             nbrs = [int(v) for v in g.adjacency[i]]
@@ -160,7 +160,7 @@ class TestStep:
             min((int(v) for v in g.adjacency[i]), key=lambda j: (before[j], j))
             for i in range(4)
         ]
-        choices, _ = step(swarm, g, params, objective, rng)
+        choices, _ = step(swarm, g, params, objective, rng, _Workspace(4, 2))
         assert list(choices) == expected
 
     def test_pbest_updates_only_on_strict_improvement(self):
@@ -168,7 +168,7 @@ class TestStep:
             dimension = 2
             bounds = (-1.0, 1.0)
 
-            def evaluate_many(self, xs):
+            def evaluate_many(self, xs, rows=None):
                 return np.full(len(xs), 3.0)
 
         objective = Constant()
@@ -176,7 +176,8 @@ class TestStep:
         rng = np.random.default_rng(5)
         swarm = initialize_swarm(objective, params, rng)
         initial_pbest = swarm.pbest.copy()
-        step(swarm, build_topology(TopologyKind.RING, 4), params, objective, rng)
+        step(swarm, build_topology(TopologyKind.RING, 4), params, objective, rng,
+             _Workspace(4, 2))
         assert np.array_equal(swarm.pbest, initial_pbest)
         assert np.all(swarm.pbest_fitness == 3.0)
 
@@ -189,7 +190,7 @@ class TestBufferOwnership:
             dimension = 2
             bounds = (-1.0, 1.0)
 
-            def evaluate_many(self, xs):
+            def evaluate_many(self, xs, rows=None):
                 returned.append(np.sum(xs * xs, axis=1))
                 return returned[-1]
 
@@ -231,7 +232,7 @@ class _ExplodingObjective:
     def __init__(self):
         self.calls = 0
 
-    def evaluate_many(self, xs):
+    def evaluate_many(self, xs, rows=None):
         self.calls += 1
         if self.calls == 1:
             return np.ones(len(xs))
