@@ -37,13 +37,19 @@ so its spanning tree's positive edges are the forest and its zero edges
 join the components.
 
 diversity_series does not rebuild each network: per distinct window length
-it keeps one flat vector of symmetric counts (an event a -> b adds one at
-a*n + b and at b*n + a) and moves it from one sample point to the next by
-adding the events of the rows that entered the window and subtracting
-those of the rows that left. A gap of a whole window or more rebuilds the
-vector from the window's rows. Each sample point's networks, one per
-distinct clipped window, are copied into a batch of at most 2 MB of
-weights, and each full batch goes through one forest pass.
+it keeps one flat int64 vector of symmetric counts (an event a -> b adds
+one at a*n + b and at b*n + a) and moves it from one sample point to the
+next by adding the events of the rows that entered the window and
+subtracting those of the rows that left. A gap of a whole window or more
+rebuilds the vector from the window's rows. Both flat indices of every
+event are computed once per log, into a table with one row per
+iteration, and each step takes its entering, leaving or rebuilding rows
+as a slice of it. Each sample point's networks, one per distinct clipped
+window, are copied into a batch of at most 2 MB of weights, and each full
+batch goes through one forest pass. Table and batch are int32 whenever
+the flat indices and the weights fit in it, which holds for every swarm
+a dense n x n batch can hold, so one pass covers twice the networks an
+int64 batch would.
 """
 
 from __future__ import annotations
@@ -89,14 +95,25 @@ class DiversityReport:
     id_value: float
 
 
-# int64 weights per forest batch: 2 MB, whatever the swarm size
-_BATCH_ENTRIES = 1 << 18
+# bytes of weights per forest batch, whatever the swarm size or dtype
+_BATCH_BYTES = 2 << 20
 
 
-def _event_indices(rows: np.ndarray, n: int) -> np.ndarray:
-    """Flat indices a*n + b and b*n + a of every event a -> b in rows."""
-    a = np.arange(n)
-    return np.concatenate(((a * n + rows).ravel(), (rows * n + a).ravel()))
+def _index_dtype(n: int, t_w: int) -> np.dtype:
+    """int32 if flat indices below n*n and weights up to 2*t_w fit, else int64."""
+    fits = max(n * n, 2 * t_w) <= np.iinfo(np.int32).max
+    return np.dtype(np.int32 if fits else np.int64)
+
+
+def _event_table(rows: np.ndarray, n: int, dtype) -> np.ndarray:
+    """(len(rows), 2n) flat indices a*n + b, then b*n + a, of each event a -> b."""
+    a = np.arange(n, dtype=dtype)
+    table = np.empty((len(rows), 2 * n), dtype=dtype)
+    # formed in dtype itself: every index is below n*n, which dtype holds
+    np.add(rows, a * n, out=table[:, :n], dtype=dtype, casting="same_kind")
+    np.multiply(rows, n, out=table[:, n:], dtype=dtype, casting="same_kind")
+    table[:, n:] += a
+    return table
 
 
 def _forest_weights(weights: np.ndarray) -> np.ndarray:
@@ -106,17 +123,19 @@ def _forest_weights(weights: np.ndarray) -> np.ndarray:
     graph in which a zero weight means no edge. A maximum spanning tree of
     that graph holds a maximum spanning forest of the positive edges, and
     every such forest has the same weights, so a network's positive tree
-    weights are its forest weights, whichever way ties break.
+    weights are its forest weights, whichever way ties break. The pass
+    runs in the batch's own signed integer dtype, so an int32 batch moves
+    half the bytes of an int64 one; the tree weights come out in it too.
     """
     graphs, n, _ = weights.shape
-    forest = np.empty((max(n - 1, 0), graphs), dtype=np.int64)
+    forest = np.empty((max(n - 1, 0), graphs), dtype=weights.dtype)
     rows = weights.reshape(graphs * n, n)
     base = np.arange(0, graphs * n, n)
     # best[b, v]: heaviest edge from b's tree to v, or -1 once v is in it;
     # cap holds v's entry at -1 from then on (one more ufunc pass is
     # cheaper than a masked np.maximum)
-    best = weights[:, 0].astype(np.int64)
-    cap = np.full_like(best, np.iinfo(np.int64).max)
+    best = weights[:, 0].copy()
+    cap = np.full_like(best, np.iinfo(best.dtype).max)
     best[:, 0] = cap[:, 0] = -1
     flat_best = best.reshape(-1)
     flat_cap = cap.reshape(-1)
@@ -137,7 +156,8 @@ def _areas(weights: np.ndarray, t_w) -> np.ndarray:
     n = weights.shape[1]
     forest = _forest_weights(weights)
     m = 2 * np.asarray(t_w, dtype=np.int64) + 1
-    return (m * n - forest.sum(axis=1) - np.count_nonzero(forest, axis=1)) / m
+    return (m * n - forest.sum(axis=1, dtype=np.int64)
+            - np.count_nonzero(forest, axis=1)) / m
 
 
 def build_network(log: InteractionLog, t: int, t_w: int) -> WeightedNetwork:
@@ -147,7 +167,8 @@ def build_network(log: InteractionLog, t: int, t_w: int) -> WeightedNetwork:
     if t > len(log):
         raise InputError(f"iteration t={t} exceeds log length {len(log)}")
     n = log.n
-    flat = np.bincount(_event_indices(log.choices[t - t_w:t], n), minlength=n * n)
+    events = _event_table(log.choices[t - t_w:t], n, np.int64)
+    flat = np.bincount(events.ravel(), minlength=n * n)
     return WeightedNetwork(n, t_w, flat.reshape(n, n))
 
 
@@ -223,28 +244,27 @@ def diversity_series(log: InteractionLog, windows: tuple[int, ...],
     if not points or points[-1] != total:
         points.append(total)
     n = log.n
-    choices = log.choices
-    # counts[w] covers rows max(t - w, 0)..t-1, the window clipped at t
+    dtype = _index_dtype(n, min(max(windows), total))
+    # row t holds the flat indices of iteration t + 1's events
+    events = _event_table(log.choices, n, dtype)
+    # counts[w] covers rows max(t - w, 0)..t-1, the window clipped at t;
+    # they stay int64, where np.add.at takes its fast path
     counts = {w: np.zeros(n * n, dtype=np.int64) for w in set(windows)}
-    batch = np.empty((max(1, _BATCH_ENTRIES // (n * n)), n, n), dtype=np.int64)
+    batch = np.empty((max(1, _BATCH_BYTES // (dtype.itemsize * n * n)), n, n), dtype=dtype)
     # one slot per (point, distinct clipped window): its t_w, and for every
     # point the slot that each window's area comes from
     slot_t_w = []
     slot_of = np.empty((len(points), len(windows)), dtype=np.int64)
     areas = []
-    widest = max(windows)
     prev = 0
     for k, t in enumerate(points):
-        if t - prev < widest:
-            entering = _event_indices(choices[prev:t], n)
+        entering = events[prev:t].ravel()
         for w, flat in counts.items():
             if t - prev >= w:
-                flat[:] = np.bincount(_event_indices(choices[t - w:t], n),
-                                      minlength=n * n)
+                flat[:] = np.bincount(events[t - w:t].ravel(), minlength=n * n)
             else:
                 np.add.at(flat, entering, 1)
-                np.subtract.at(
-                    flat, _event_indices(choices[max(prev - w, 0):max(t - w, 0)], n), 1)
+                np.subtract.at(flat, events[max(prev - w, 0):max(t - w, 0)].ravel(), 1)
         slots = {}
         for i, w in enumerate(windows):
             t_w = min(w, t)

@@ -1,5 +1,7 @@
 """Interaction-network construction, destruction, and diversity checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,20 +147,22 @@ def _tree_curve(tree, n, t_w):
 class TestForestWeights:
     """The batched Prim pass against the BFS oracle, network by network."""
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("graphs", [1, 2, 6])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
-    def test_batch_matches_oracle_curve(self, n, graphs):
+    def test_batch_matches_oracle_curve(self, n, graphs, dtype):
         rng = np.random.default_rng(10 * n + graphs)
         t_w = 2
         for trial in range(25):
             # weights 0..4 tie often; sparse draws leave graphs disconnected
             upper = np.triu(rng.integers(1, 2 * t_w + 1, size=(graphs, n, n))
                             * (rng.random((graphs, n, n)) < 0.35), 1)
-            batch = upper + upper.transpose(0, 2, 1)
+            batch = (upper + upper.transpose(0, 2, 1)).astype(dtype)
             if trial % 3 == 0:
                 batch[-1] = 0
             tree = _forest_weights(batch)
             assert tree.shape == (graphs, max(n - 1, 0))
+            assert tree.dtype == dtype
             areas = _areas(batch, [t_w] * graphs)
             for b, weights in enumerate(batch):
                 edges = {(i, j): int(weights[i, j])
@@ -167,6 +171,21 @@ class TestForestWeights:
                 assert _tree_curve(tree[b].tolist(), n, t_w) == expected
                 assert areas[b] == oracle_area(expected)
                 assert np.array_equal(tree[b], _forest_weights(batch[b:b + 1])[0])
+
+
+class TestIndexDtype:
+    """The rule that picks the dtype of the series' event table and batch."""
+
+    @pytest.mark.parametrize("n, t_w, dtype", [
+        (1, 1, np.int32),
+        (100, 10_000, np.int32),
+        (46_340, 1, np.int32),  # 46340**2 is below 2**31 - 1
+        (46_341, 1, np.int64),  # 46341**2 is above it
+        (3, 2**30 - 1, np.int32),  # heaviest weight 2**31 - 2
+        (3, 2**30, np.int64),  # heaviest weight 2**31
+    ])
+    def test_int32_only_where_indices_and_weights_fit(self, n, t_w, dtype):
+        assert interaction._index_dtype(n, t_w) == dtype
 
 
 class TestDestructionCurve:
@@ -275,6 +294,15 @@ class TestDiversity:
             assert list(curve.components) == expected
 
 
+# tracemalloc peak, in bytes, of diversity_series over the n=100, T=2000
+# log of test_memory_stays_within_table_and_batch, per stride (numpy 2.4.6,
+# Python 3.11): the 1.6 MB int32 event table, the 2 MB batch and five
+# 80 kB count vectors. The margin, 0.3 MB (about 7%), is below what an
+# int64 table (+1.6 MB) or a larger batch would add.
+SERIES_PEAK = {100: 4_326_389, 1: 4_579_068}
+SERIES_PEAK_MARGIN = 300_000
+
+
 class TestSeries:
     def test_clip_windows(self):
         assert clip_windows((10, 25, 50), 30) == (10, 25, 30)
@@ -313,14 +341,38 @@ class TestSeries:
 
     def test_series_spans_several_batches(self):
         rng = np.random.default_rng(16)
-        n, total, windows = 100, 40, (10, 25)
+        n, total, windows = 100, 80, (10, 25)
         log = _random_log(rng, n=n, total=total)
         networks = sum(len(set(clip_windows(windows, t))) for t in range(1, total + 1))
-        assert networks > 2 * (interaction._BATCH_ENTRIES // n ** 2)
+        itemsize = interaction._index_dtype(n, max(windows)).itemsize
+        assert networks > 2 * (interaction._BATCH_BYTES // (itemsize * n ** 2))
         iters, values = diversity_series(log, windows, stride=1)
         assert list(iters) == list(range(1, total + 1))
         for t, value in zip(iters.tolist(), values.tolist()):
             assert value == interaction_diversity(log, t, clip_windows(windows, t)).id_value
+
+    def test_int64_batch_gives_the_same_bits(self):
+        rng = np.random.default_rng(17)
+        log = _random_log(rng, n=30, total=120)
+        windows = (10, 25, 50, 25)
+        iters, values = diversity_series(log, windows, stride=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interaction, "_index_dtype", lambda n, t_w: np.dtype(np.int64))
+            wide_iters, wide_values = diversity_series(log, windows, stride=1)
+        assert np.array_equal(wide_iters, iters)
+        assert wide_values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("stride", [100, 1])
+    def test_memory_stays_within_table_and_batch(self, stride):
+        # analyze's shape: 100 particles, 2000 iterations, windows 10-100
+        log = _random_log(np.random.default_rng(5), n=100, total=2000)
+        tracemalloc.start()
+        try:
+            diversity_series(log, (10, 25, 50, 75, 100), stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= SERIES_PEAK[stride] + SERIES_PEAK_MARGIN
 
     def test_bad_stride(self):
         with pytest.raises(InputError):
@@ -384,9 +436,10 @@ class TestProperties:
         # These logs never fill a 2 MB batch; shrink it so they cross batch
         # boundaries every 1-3 sample points.
         log, windows, _ = case
-        entries = points_per_batch * len(set(windows)) * log.n ** 2
+        itemsize = interaction._index_dtype(log.n, min(max(windows), len(log))).itemsize
+        batch_bytes = points_per_batch * len(set(windows)) * log.n ** 2 * itemsize
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(interaction, "_BATCH_ENTRIES", entries)
+            patch.setattr(interaction, "_BATCH_BYTES", batch_bytes)
             _check_series_against_oracle(*case)
 
     @settings(derandomize=True, deadline=None)
