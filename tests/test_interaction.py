@@ -147,10 +147,18 @@ def _tree_curve(tree, n, t_w):
 class TestForestWeights:
     """The batched Prim pass against the BFS oracle, network by network."""
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("graphs", [1, 2, 6])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
-    def test_batch_matches_oracle_curve(self, n, graphs, dtype):
+    def test_batch_matches_oracle_curve(self, n, graphs):
+        self._check_against_oracle(n, graphs, np.int64)
+
+    @pytest.mark.parametrize("graphs", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    def test_int32_batch_matches_oracle_curve(self, n, graphs):
+        self._check_against_oracle(n, graphs, np.int32)
+
+    @staticmethod
+    def _check_against_oracle(n, graphs, dtype):
         rng = np.random.default_rng(10 * n + graphs)
         t_w = 2
         for trial in range(25):
