@@ -48,7 +48,7 @@ def parse_config_file(path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     raw: dict[str, str] = {}

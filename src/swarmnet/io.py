@@ -48,7 +48,7 @@ def fmt(x: float) -> str:
 
 
 def _write_rows(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -60,7 +60,7 @@ def write_interaction_log(path, log: InteractionLog) -> None:
     The bytes are those of csv.writer (comma-separated, CRLF line ends); each
     iteration's rows are joined and written at once.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LOG_HEADER) + "\r\n")
         for t, row in enumerate(log.choices.tolist(), start=1):
             fh.write("".join([f"{t},{i},{b}\r\n" for i, b in enumerate(row)]))
@@ -75,10 +75,12 @@ def _not_text(path, exc: UnicodeDecodeError) -> InputError:
 
 
 def _open(path, mode="r"):
-    """open(path, mode), newline="" in text; a file that cannot be opened
-    is an InputError."""
+    """open(path, mode), as UTF-8 with newline="" in text; a file that
+    cannot be opened is an InputError."""
+    text = "b" not in mode
     try:
-        return open(path, mode, newline=None if "b" in mode else "")
+        return open(path, mode, encoding="utf-8" if text else None,
+                    newline="" if text else None)
     except OSError as exc:
         raise InputError(f"{path}: cannot read ({exc.strerror})") from None
 

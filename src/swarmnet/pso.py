@@ -35,6 +35,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+# Loaded here, not on first use, so that the workers a sweep forks inherit
+# numpy.random instead of each importing it.
+import numpy.random
 
 from . import topology as topo
 from .errors import ConfigurationError, NonFiniteFitnessError
@@ -271,7 +274,7 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams,
 
     fg_hist: list[float] = []
     fd_hist: list[float] = []
-    choice_hist: list[np.ndarray] = []
+    choice_hist = np.empty((params.t_max, n), dtype=np.int64)
     last_improve = 0
     converged_at: int | None = None
 
@@ -288,7 +291,7 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams,
             f_delta = fitness_improvement(f_prev, f_g)
             fg_hist.append(f_g)
             fd_hist.append(f_delta)
-            choice_hist.append(choices)
+            choice_hist[t - 1] = choices
             f_prev = f_g
             if f_delta >= params.epsilon:
                 last_improve = t
@@ -303,5 +306,6 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams,
         converged_at=converged_at,
         final_fitness=fg_hist[-1],
     )
-    log = InteractionLog(np.array(choice_hist, dtype=np.int64))
+    # a converged run keeps only its own rows, not the whole buffer
+    log = InteractionLog(choice_hist if t == params.t_max else choice_hist[:t].copy())
     return trace, log

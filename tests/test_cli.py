@@ -1,8 +1,15 @@
 """Config parsing, file round-trips, and CLI subcommand checks."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import swarmnet
 from swarmnet import experiment, io, pso
 from swarmnet.benchmarks import FunctionId
 from swarmnet.cli import main
@@ -31,6 +38,16 @@ repetitions = 2
 id_sample_stride = 5
 base_seed = 11
 """
+
+
+def _python(args: list[str], **env_vars: str) -> str:
+    """Standard output of `python args` with this swarmnet importable."""
+    package_root = str(Path(swarmnet.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture
@@ -82,6 +99,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=r"bad\.cfg: not UTF-8 text"):
             load_config(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    def test_utf8_file_loads_under_ascii_locale(self, tmp_path):
+        # Files are UTF-8 whatever the locale's encoding is.
+        path = tmp_path / "cafe.cfg"
+        path.write_bytes("dimension = 7  # caf\u00e9\n".encode("utf-8"))
+        code = ("import locale, sys; from swarmnet.config import load_config; "
+                "print(locale.getpreferredencoding(False), "
+                "load_config(sys.argv[1]).objective.dimension)")
+        out = _python(["-c", code, str(path)], LC_ALL="C", LANG="C", PYTHONUTF8="0")
+        encoding, dimension = out.split()
+        assert encoding != "UTF-8"  # the locale really is not UTF-8
+        assert dimension == "7"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -485,3 +514,42 @@ class TestOfflineOnlineEquivalence:
             back, total, tuple(min(w, total) for w in cfg.windows)
         ).id_value
         assert value == result.id_values[-1]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "analyze", "destruction"])
+def test_command_imports_no_module_while_it_runs(tmp_path, tiny_config, command):
+    # Every module a command needs comes with `import swarmnet.cli`, so no
+    # command pays an import (scipy above all) inside its timed part.
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r")]) == 0
+    argv = {
+        "run": ["run"],
+        "sweep": ["sweep", "--jobs", "1"],
+        "analyze": ["analyze", str(tmp_path / "r")],
+        "destruction": ["destruction", str(tmp_path / "r" / "log.csv")],
+    }[command] + ["--config", str(tiny_config), "--out", str(tmp_path / "o")]
+    code = ("import json, sys\n"
+            "import swarmnet.cli\n"
+            "before = set(sys.modules)\n"
+            "rc = swarmnet.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(set(sys.modules) - before)]))\n")
+    rc, imported = json.loads(_python(["-c", code, *argv]).splitlines()[-1])
+    assert rc == 0
+    assert imported == []
+
+
+def test_scipy_is_imported_only_above_the_t_table():
+    # numpy.random is loaded before a sweep forks its workers, and scipy
+    # not at all until an interval needs more than 100 degrees of freedom.
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import swarmnet.cli\n"
+            "from swarmnet.experiment import _confidence_interval\n"
+            "def scipy_loaded():\n"
+            "    return any(name.startswith('scipy') for name in sys.modules)\n"
+            "print('numpy.random' in sys.modules, scipy_loaded())\n"
+            "_confidence_interval(np.arange(101.0))\n"
+            "print(scipy_loaded())\n"
+            "_confidence_interval(np.arange(102.0))\n"
+            "print(scipy_loaded())\n")
+    out = _python(["-c", code])
+    assert out.split() == ["True", "False", "False", "True"]

@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import swarmnet
 from swarmnet import experiment, io
@@ -191,6 +191,37 @@ def test_cli_import_leaves_scipy_stats_unloaded():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_t_table_is_stdtrit_bitwise():
+    assert len(experiment._T975) == 100
+    for df, t in enumerate(experiment._T975, start=1):
+        assert t.hex() == float(special.stdtrit(df, 0.975)).hex(), df
+
+
+def test_t_table_agrees_with_mpmath_quantile():
+    # 1 - F(t) = I_x(df/2, 1/2) / 2 at x = df / (df + t^2); the installed
+    # scipy is off by up to 19 ulps (df = 6).
+    for df, t in enumerate(experiment._T975, start=1):
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(df)
+            half = mpmath.mpf(1) / 2
+
+            def upper_tail(x):
+                return mpmath.betainc(nu / 2, half, 0, nu / (nu + x * x),
+                                      regularized=True) / 2 - mpmath.mpf("0.025")
+
+            exact = mpmath.findroot(upper_tail, mpmath.mpf(t))
+            assert abs(mpmath.mpf(t) - exact) <= 1e-14 * exact, df
+
+
+def test_interval_above_the_table_equals_stdtrit_bitwise():
+    rng = np.random.default_rng(11)
+    for n in (100, 101, 102, 103):
+        values = rng.random(n)
+        mean = float(values.mean())
+        half = special.stdtrit(n - 1, 0.975) * float(values.std(ddof=1)) / np.sqrt(n)
+        assert _confidence_interval(values) == (mean - half, mean + half)
 
 
 class TestCorrelation:

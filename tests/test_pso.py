@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -271,6 +272,7 @@ class TestRun:
         trace, log = run(self._sphere(2), g, params)
         assert trace.converged_at is not None
         assert len(log) == trace.converged_at + params.delta_window
+        assert log.choices.base is None  # owns its rows, not the t_max buffer
         quiet = trace.fitness_improvement[trace.converged_at:]
         assert np.all(quiet < params.epsilon)
 
@@ -288,6 +290,23 @@ class TestRun:
         trace, log = run(self._sphere(), g, params)
         assert trace.converged_at is None
         assert len(log) == 15
+
+    def test_log_memory_is_one_buffer(self):
+        # Each step's choices go into one (t_max, n) array, so the peak
+        # stays near the log's own size; a list of per-step arrays and its
+        # copy into one array peaked at over twice that.
+        n, t_max = 100, 2000
+        g = build_topology(TopologyKind.RING, n)
+        params = PsoParams(swarm_size=n, t_max=t_max, delta_window=t_max)
+        objective = self._sphere(2)
+        tracemalloc.start()
+        try:
+            _, log = run(objective, g, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == t_max
+        assert peak <= 1.25 * log.choices.nbytes
 
     def test_same_seed_same_run(self):
         g = build_topology(TopologyKind.RING, 6)
