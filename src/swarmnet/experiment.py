@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -59,9 +60,12 @@ class ExperimentConfig:
             raise ConfigurationError("topology list must be non-empty")
         if not self.windows:
             raise ConfigurationError("window set must be non-empty")
-        for w in self.windows:
+        for k, w in enumerate(self.windows):
             if w < 1:
                 raise ConfigurationError(f"window must be >= 1, got {w}")
+            if w in self.windows[:k]:
+                # T is a set: a repeat would count its window twice in ID
+                raise ConfigurationError(f"window {w} is listed more than once")
         if self.id_sample_stride < 1:
             raise ConfigurationError(
                 f"id_sample_stride must be >= 1, got {self.id_sample_stride}"
@@ -313,7 +317,10 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1
     specs = [spec for spec in config.topologies for _ in range(reps)]
     repetitions = [rep for _ in config.topologies for rep in range(reps)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Forked workers, whatever the platform's default: they inherit
+        # the loaded modules, numpy.random among them.
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             results = list(pool.map(cell, specs, repetitions))
     else:
         results = list(map(cell, specs, repetitions))

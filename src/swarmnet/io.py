@@ -8,10 +8,12 @@ Iterations are 1-based in every file; particle indices are 0-based.
 A selection log has one grammar, the one write_interaction_log writes: the
 header line iteration,particle,best_neighbor, then lines of three runs of
 1-18 ASCII digits joined by commas, every line ending in the header's line
-end (\r\n, \n or \r), the last one optionally. The body is parsed column
-by column with numpy, in chunks of whole lines, and rows in the writer's
-order are checked without a sort. Any other file is an InputError that
-names its first bad line.
+end (\r\n, \n or \r), the last one optionally. Its rows come in the
+writer's order too, iteration-major: row k holds iteration k // n + 1 and
+particle k % n, where n is one more than the largest particle index. The
+body is parsed column by column with numpy, in chunks of whole lines, and
+checked against that order in one pass. Any other file is an InputError
+that names its first bad line.
 """
 
 from __future__ import annotations
@@ -213,57 +215,41 @@ def _first_bad_line(path, body: bytes, eol: bytes) -> InputError:
 def _check_events(path, events: np.ndarray) -> np.ndarray:
     """The (T, n) choices of parsed events; row k is line k + 2.
 
-    Raises at the first line, in file order, whose neighbor is out of range
-    or the particle itself, or whose (iteration, particle) pair came
-    before; failing that, at the first missing pair in iteration-major
-    order. Rows in the writer's order can hold no repeat or gap and skip
-    the sort; otherwise a stable sort by (iteration, particle) finds
-    repeats and gaps in memory bounded by the number of rows, whatever
-    the values.
+    Raises at the first row, in file order, whose neighbor is out of range
+    or the particle itself, or that breaks the writer's order (see the
+    module docstring), in that priority within a row; failing that, at the
+    first pair missing from a cut last iteration. Only the rows // n full
+    iterations are compared with the grid, so no array is sized by a value.
     """
     rows = len(events)
     if not rows:
         raise _parse_error(path, 2, "log contains no selection events")
     t, i, b = events.T
     n = int(i.max()) + 1
-    if rows % n == 0:
-        # Rows in the writer's order, (k // n + 1, k % n) on row k, hold
-        # every pair once; a bad neighbor there takes the sort below.
-        grid_t, grid_i = t.reshape(-1, n), i.reshape(-1, n)
-        if ((grid_t == np.arange(1, len(grid_t) + 1)[:, None]).all()
-                and (grid_i == np.arange(n)).all()
-                and not ((b >= n) | (b == i)).any()):
-            return np.ascontiguousarray(b).reshape(-1, n)
-    order = np.lexsort((i, t))
-    t_sorted, i_sorted = t[order], i[order]
-    repeat = np.zeros(rows, dtype=bool)
-    repeat[order[1:]] = (t_sorted[1:] == t_sorted[:-1]) & (i_sorted[1:] == i_sorted[:-1])
-    out_of_range = b >= n
-    bad = np.flatnonzero(out_of_range | (b == i) | repeat)
-    if len(bad):
-        k = int(bad[0])
+    full = rows // n
+    head = full * n
+    bad = b >= n
+    bad |= b == i
+    if full:  # else n may exceed rows, up to 10**18: build no np.arange(n)
+        grid = bad[:head].reshape(full, n)
+        grid |= t[:head].reshape(full, n) != np.arange(1, full + 1)[:, None]
+        grid |= i[:head].reshape(full, n) != np.arange(n)
+    bad[head:] |= (t[head:] != full + 1) | (i[head:] != np.arange(rows - head))
+    k = int(bad.argmax())
+    if bad[k]:
         event = tuple(int(v) for v in events[k])
-        if out_of_range[k]:
+        if event[2] >= n:
             detail = f"particle index out of range in {event}"
-        elif b[k] == i[k]:
+        elif event[2] == event[1]:
             detail = f"particle {event[1]} selects itself at iteration {event[0]}"
         else:
-            detail = f"duplicate event for iteration {event[0]}, particle {event[1]}"
+            detail = f"expected iteration {k // n + 1}, particle {k % n}, got {event}"
         raise _parse_error(path, k + 2, detail)
-    total = int(t.max())
-    if total * n != rows:
-        # Pairs are now distinct, so the k-th sorted pair is the k-th of the
-        # grid until the first gap. Where n > rows, every grid index below
-        # rows lies in iteration 1, and dividing by rows keeps it in int64.
-        grid_t, grid_i = np.divmod(np.arange(rows), min(n, rows))
-        gaps = np.flatnonzero((t_sorted != grid_t + 1) | (i_sorted != grid_i))
-        k = int(gaps[0]) if len(gaps) else rows
+    if head != rows:
         raise InputError(
-            f"{path}: missing event for iteration {k // n + 1}, particle {k % n}"
+            f"{path}: missing event for iteration {full + 1}, particle {rows - head}"
         )
-    choices = np.empty((total, n), dtype=np.int64)
-    choices[t - 1, i] = b
-    return choices
+    return np.ascontiguousarray(b).reshape(full, n)
 
 
 def _log_body(path) -> tuple[bytes, bytes]:
@@ -287,10 +273,10 @@ def read_interaction_log(path) -> InteractionLog:
 
     The file must be in the writer's grammar (see the module docstring);
     otherwise the error names its first line that is not, a byte that is
-    not UTF-8 included. It must then contain every (iteration, particle)
-    pair exactly once for iterations 1..T and particles 0..n-1, and no
-    particle may select itself: its own personal best never competes for
-    best neighbor. Format errors anywhere outrank these checks.
+    not UTF-8 included. Its rows must then hold every (iteration,
+    particle) pair for iterations 1..T and particles 0..n-1 in the writer's
+    order, and no particle may select itself: its own personal best never
+    competes for best neighbor. Format errors anywhere outrank these checks.
     """
     eol, body = _log_body(path)
     events = _parse_events(body, eol)

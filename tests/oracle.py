@@ -82,7 +82,9 @@ def oracle_read_log(path):
 
     The file opens with the header line; every later line holds three runs
     of 1-18 ASCII digits joined by commas and ends in the header's line
-    end, the last one optionally.
+    end, the last one optionally. The rows then fill iteration 1 with
+    particles 0..n-1 in turn, then iteration 2, and so on, where n is one
+    more than the largest particle index.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -98,7 +100,7 @@ def oracle_read_log(path):
     lines = body.split(eol) if body else []
     if lines and lines[-1] == b"":
         del lines[-1]
-    entries = []
+    events = []
     for line_no, line in enumerate(lines, start=2):
         row = line.decode(errors="replace").split(",")
         if len(row) != 3:
@@ -108,24 +110,26 @@ def oracle_read_log(path):
         t, i, b = (int(v) for v in row)
         if t < 1:
             raise LogError(f"{path}:{line_no}: out-of-range values {row}")
-        entries.append((t, i, b, line_no))
-    if not entries:
+        events.append((t, i, b))
+    if not events:
         raise LogError(f"{path}:2: log contains no selection events")
-    total = max(t for t, _, _, _ in entries)
-    n = max(i for _, i, _, _ in entries) + 1
-    choices = [[None] * n for _ in range(total)]
-    for t, i, b, line_no in entries:
-        if i >= n or b >= n:
+    n = max(i for _, i, _ in events) + 1
+    choices = []
+    for line_no, (t, i, b) in enumerate(events, start=2):
+        if b >= n:
             raise LogError(f"{path}:{line_no}: particle index out of range in {(t, i, b)}")
         if b == i:
             raise LogError(f"{path}:{line_no}: particle {i} selects itself at iteration {t}")
-        if choices[t - 1][i] is not None:
-            raise LogError(f"{path}:{line_no}: duplicate event for iteration {t}, particle {i}")
-        choices[t - 1][i] = b
-    for t, row in enumerate(choices, start=1):
-        for i, b in enumerate(row):
-            if b is None:
-                raise LogError(f"{path}: missing event for iteration {t}, particle {i}")
+        if not choices or len(choices[-1]) == n:
+            choices.append([])
+        want = (len(choices), len(choices[-1]))
+        if (t, i) != want:
+            raise LogError(f"{path}:{line_no}: expected iteration {want[0]}, "
+                           f"particle {want[1]}, got {(t, i, b)}")
+        choices[-1].append(b)
+    if len(choices[-1]) < n:
+        raise LogError(f"{path}: missing event for iteration {len(choices)}, "
+                       f"particle {len(choices[-1])}")
     return choices
 
 

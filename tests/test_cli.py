@@ -207,7 +207,8 @@ class TestRoundTrips:
     def test_incomplete_log_rejected(self, tmp_path):
         path = tmp_path / "partial.csv"
         path.write_text("iteration,particle,best_neighbor\n2,0,1\n2,1,0\n")
-        with pytest.raises(InputError, match="missing event"):
+        with pytest.raises(InputError, match=r"partial\.csv:2: expected iteration 1, "
+                                             r"particle 0, got \(2, 0, 1\)$"):
             io.read_interaction_log(path)
 
     def test_duplicate_log_row_rejected(self, tmp_path):
@@ -215,7 +216,8 @@ class TestRoundTrips:
         path.write_text(
             "iteration,particle,best_neighbor\n1,0,1\n1,0,1\n1,1,0\n"
         )
-        with pytest.raises(InputError, match="duplicate"):
+        with pytest.raises(InputError, match=r"dup\.csv:3: expected iteration 1, "
+                                             r"particle 1, got \(1, 0, 1\)$"):
             io.read_interaction_log(path)
 
     def test_self_selection_rejected(self, tmp_path):
@@ -229,7 +231,7 @@ class TestRoundTrips:
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b,c\n1,0,1\n")
-        with pytest.raises(InputError, match="header"):
+        with pytest.raises(InputError, match=r"h\.csv:1: expected header"):
             io.read_interaction_log(path)
 
     def test_float_formatting_round_trips(self):

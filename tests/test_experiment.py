@@ -1,5 +1,6 @@
 """Sweep-harness, statistics, and seed fan-out checks."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -62,6 +63,10 @@ class TestConfigValidation:
             _config(id_sample_stride=0).validate()
         with pytest.raises(ConfigurationError):
             _config(topologies=()).validate()
+
+    def test_repeated_window_rejected(self):
+        with pytest.raises(ConfigurationError, match="window 10 is listed more than once"):
+            _config(windows=(10, 25, 10)).validate()
 
     def test_repeated_topology_rejected(self):
         ring = TopologySpec(TopologyKind.RING)
@@ -344,6 +349,16 @@ class TestSweep:
         started = sorted(p.name for p in tmp_path.iterdir())
         assert "ring_0" in started
         assert len(started) < 8, started
+
+    def test_workers_fork_under_a_forkserver_default(self, tmp_path, monkeypatch):
+        # From Python 3.14 the default on Linux is forkserver, whose
+        # workers would import the module afresh and miss the patch.
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("forkserver", force=True)
+        try:
+            self.test_failing_cell_stops_cells_not_yet_started(tmp_path, monkeypatch)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
 
     @pytest.mark.parametrize("repetitions", [1, 3])
     def test_summary_reads_back_equal(self, repetitions, tmp_path):

@@ -2,9 +2,9 @@
 
 `io.read_interaction_log` parses the writer's bytes column-wise, in chunks
 of whole lines, and checks every event in bulk; `oracle.oracle_read_log`
-checks one row at a time. Both take the writer's grammar only. On every
-file, and at every chunk size tried, both must give the same choices or
-the same error text.
+checks one row at a time. Both take the writer's grammar and row order
+only. On every file, and at every chunk size tried, both must give the
+same choices or the same error text.
 """
 
 import csv
@@ -84,12 +84,13 @@ CORPUS = {
     "duplicate_out_of_order": _file(ROWS[3:] + ROWS[:3] + ["2,0,1"]),
     "duplicate_then_self": _file(ROWS + ["2,2,0", "1,1,1"]),
     "missing_event": _file(ROWS[:4] + ROWS[5:]),
+    "cut_in_last_iteration": _file(ROWS[:5]),
     "missing_first_iteration": _file(["2,0,1", "2,1,0"]),
     "missing_particle_column": _file([r for r in ROWS if r.split(",")[1] != "1"]),
     "rows_out_of_order": _file(ROWS[::-1]),
     "rows_interleaved": _file(ROWS[1::2] + ROWS[::2]),
     "single_event": _file(["1,0,0"]),
-    "single_valid_event": _file(["1,1,0", "1,0,1"]),
+    "swapped_particles": _file(["1,1,0", "1,0,1"]),
     "empty_file": "",
     "header_only": HEADER + "\n",
     "header_only_no_eol": HEADER,
@@ -189,8 +190,8 @@ def test_writer_output_takes_the_column_parser(tmp_path, monkeypatch):
         path.write_bytes(crlf.replace(b"\r\n", eol))
         read = io.read_interaction_log(path).choices
         assert np.array_equal(read, choices), eol
-        # a (T, n) array of its own, as the sorting check builds, that
-        # keeps no (rows, 3) events alive
+        # a (T, n) array of its own, not a view that keeps the (rows, 3)
+        # events alive
         assert read.flags.c_contiguous
         assert read.base is None or read.base.nbytes == read.nbytes
 
@@ -220,7 +221,8 @@ def test_parse_events_sums_digits_in_int64():
     ({5: "2,2,2", 0: "1,0,9"}, 2),
 ])
 def test_bad_neighbor_in_writer_order_matches_oracle(tmp_path, rows, line):
-    # Rows in the writer's order skip the sort unless a neighbor is bad.
+    # A bad neighbor in rows in the writer's order is named at its line,
+    # the first in file order.
     text = _file([rows.get(k, row) for k, row in enumerate(ROWS)], eol="\r\n")
     path = _write(tmp_path, "ordered", text)
     outcome = _outcome(path)
@@ -269,17 +271,37 @@ def test_value_above_int64_in_t_or_i_is_an_input_error(tmp_path, row):
         io.read_interaction_log(path)
 
 
+ORDER_ERRORS = {
+    "swapped_particles": ":2: expected iteration 1, particle 0, got (1, 1, 0)",
+    "duplicate": ":5: expected iteration 2, particle 0, got (1, 1, 0)",
+    "missing_first_iteration": ":2: expected iteration 1, particle 0, got (2, 0, 1)",
+    "cut_in_last_iteration": ": missing event for iteration 2, particle 2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_ERRORS))
+def test_order_errors_name_the_expected_pair(tmp_path, name):
+    path = _write(tmp_path, name, CORPUS[name])
+    assert _outcome(path) == f"{path}{ORDER_ERRORS[name]}"
+
+
 def test_far_iteration_is_missing_events_not_an_allocation(tmp_path):
+    # The far iteration stands where iteration 3 must start; no array is
+    # sized by it.
     path = _write(tmp_path, "far", _file(ROWS + ["1000000000000,0,1"]))
-    with pytest.raises(InputError, match=r"missing event for iteration 3, particle 0$"):
+    expected = "far.csv:8: expected iteration 3, particle 0, got (1000000000000, 0, 1)"
+    with pytest.raises(InputError, match=re.escape(expected) + "$"):
         io.read_interaction_log(path)
 
 
 def test_wide_particle_index_is_missing_events(tmp_path):
-    # The widest index the grammar takes, 18 digits, allocates nothing;
-    # one digit more is a format error at its line.
-    path = _write(tmp_path, "wide", _file(["1,0,1", "1," + "9" * 18 + ",0"]))
-    with pytest.raises(InputError, match=r"missing event for iteration 1, particle 1$"):
+    # The widest index the grammar takes, 18 digits, sizes no array: with
+    # fewer rows than particles, no iteration is full and only the rows
+    # themselves are checked. One digit more is a format error at its line.
+    wide = "9" * 18
+    path = _write(tmp_path, "wide", _file(["1,0,1", f"1,{wide},0"]))
+    expected = f"wide.csv:3: expected iteration 1, particle 1, got (1, {wide}, 0)"
+    with pytest.raises(InputError, match=re.escape(expected) + "$"):
         io.read_interaction_log(path)
     path = _write(tmp_path, "wide", _file(["1,0,1", "1,9223372036854775807,0"]))
     with pytest.raises(InputError, match=r"wide\.csv:3: expected 1-18 digits per field"):
