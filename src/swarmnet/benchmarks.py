@@ -96,16 +96,18 @@ def _elliptic(z: np.ndarray) -> np.ndarray:
     return np.sum(weights * z * z, axis=1)
 
 
-# Row-local objectives write f(xs) into out, one row at a time; each uses
-# two temporaries of the block's size at most.
-def _sphere_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
-    np.sum(np.multiply(xs, xs), axis=1, out=out)
+# Row-local objectives write f(xs) into out, one row at a time, with tmp,
+# two arrays of xs's shape, as their only scratch.
+def _sphere_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray,
+                 tmp: np.ndarray) -> None:
+    np.sum(np.multiply(xs, xs, out=tmp[0]), axis=1, out=out)
 
 
-def _rastrigin_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
+def _rastrigin_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray,
+                    tmp: np.ndarray) -> None:
     # z*z - 10*cos(2*pi*z) + 10, in that order.
-    z = np.subtract(xs, shift)
-    c = np.multiply(2.0 * np.pi, z)
+    z = np.subtract(xs, shift, out=tmp[0])
+    c = np.multiply(2.0 * np.pi, z, out=tmp[1])
     np.cos(c, out=c)
     c *= 10.0
     z *= z
@@ -114,8 +116,9 @@ def _rastrigin_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
     np.sum(z, axis=1, out=out)
 
 
-def _schwefel_1_2_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
-    z = np.subtract(xs, shift)
+def _schwefel_1_2_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray,
+                       tmp: np.ndarray) -> None:
+    z = np.subtract(xs, shift, out=tmp[0])
     np.cumsum(z, axis=1, out=z)
     z *= z
     np.sum(z, axis=1, out=out)
@@ -155,14 +158,16 @@ class Objective:
     def bounds(self) -> tuple[float, float]:
         return BOUNDS[self.spec.function_id]
 
-    def evaluate_many(self, xs, rows=None) -> np.ndarray:
+    def evaluate_many(self, xs, rows=None, scratch=None) -> np.ndarray:
         """Evaluate a batch of row vectors; returns one fitness per row.
 
         f(x) >= 0 everywhere, with f(shift) = 0. `rows`, when given, runs
         fn(lo, hi) over row blocks that cover xs and may run them at once;
         the row-local functions (sphere, F2, F19) then work block by block.
-        F6 and F14 ignore it: their rotations stay one matrix product over
-        all rows. The result is the same either way.
+        `scratch`, when given, is a C-contiguous array with one row of 2*d
+        floats per row of xs, which those functions overwrite instead of
+        allocating their own. F6 and F14 ignore both: their rotations stay
+        one matrix product over all rows. The result is the same either way.
         """
         spec = self.spec
         xs = np.asarray(xs, dtype=float)
@@ -176,7 +181,9 @@ class Objective:
             out = np.empty(len(xs))
 
             def block(lo: int, hi: int) -> None:
-                kernel(xs[lo:hi], self.shift, out[lo:hi])
+                shape = (2, hi - lo, spec.dimension)
+                tmp = np.empty(shape) if scratch is None else scratch[lo:hi].reshape(shape)
+                kernel(xs[lo:hi], self.shift, out[lo:hi], tmp)
 
             if rows is None:
                 block(0, len(xs))

@@ -143,9 +143,10 @@ def _forest_weights(weights: np.ndarray) -> np.ndarray:
     for tree_weight in forest:
         joined = best.argmax(axis=1)
         joined += base
-        flat_best.take(joined, out=tree_weight)
+        # "clip": joined is in range, and "raise" would buffer out in a copy
+        flat_best.take(joined, out=tree_weight, mode="clip")
         flat_cap[joined] = -1
-        rows.take(joined, axis=0, out=joined_rows)
+        rows.take(joined, axis=0, out=joined_rows, mode="clip")
         np.maximum(best, joined_rows, out=best)
         np.minimum(best, cap, out=best)
     return forest.T

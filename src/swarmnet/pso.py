@@ -21,10 +21,13 @@ run splits the swarm into contiguous row blocks, one per thread, and works
 on them at once. This cannot change a single bit of the result because
 every operation split this way is row-local: a row's new velocity,
 position and fitness depend only on that row's inputs, in the same
-evaluation order as the whole-swarm expression. The uniform draw for a
-step is made whole, on the calling thread, before any block starts, and
-no BLAS call (the rotations of F6 and F14) is ever split, since BLAS does
-not promise the same per-row result for different row counts.
+evaluation order as the whole-swarm expression. Each block draws its
+own rows of the step's uniforms from the same stream: its generator takes
+the run generator's state at the start of the step's draw and skips the
+draws of every row before the block, so the blocks together draw exactly
+what one whole draw would. No BLAS call (the rotations of F6 and F14) is
+ever split, since BLAS does not promise the same per-row result for
+different row counts.
 """
 
 from __future__ import annotations
@@ -167,15 +170,25 @@ _THREAD_FLOOR = 1 << 16
 
 
 class _Workspace:
-    """Buffers one run's steps reuse, and the row blocks that share them."""
+    """Buffers one run's steps reuse, built for its params, and the row
+    blocks that share them.
 
-    def __init__(self, n: int, d: int, blocks: int = 1, pool=None):
+    u holds a step's draw, then c1*r1 and c2*r2, then the objective's
+    scratch; nbest holds pbest - x, then nbest - x.
+    """
+
+    def __init__(self, params: PsoParams, d: int, blocks: int = 1, pool=None):
+        n = params.swarm_size
         self.u = np.empty((n, d, 2))
-        self.a = np.empty((n, d))
-        self.b = np.empty((n, d))
+        # a row of u's (r1, r2) pairs times this is its (c1*r1, c2*r2) pairs
+        self.c = np.tile([params.c1, params.c2], d)
         self.nbest = np.empty((n, d))
         self.bounds = [(n * j // blocks, n * (j + 1) // blocks) for j in range(blocks)]
         self.pool = pool
+        # Each block's generator, keyed by its first row; built once, since
+        # PCG64() seeds itself from the OS.
+        self.gens = {lo: np.random.Generator(np.random.PCG64())
+                     for lo, _ in self.bounds} if blocks > 1 else {}
 
     def rows(self, fn) -> None:
         """Call fn(lo, hi) on every row block, the first on this thread,
@@ -190,29 +203,51 @@ class _Workspace:
             future.result()
 
 
-def _move_rows(swarm: Swarm, params: PsoParams, choices: np.ndarray,
-               work: _Workspace, lo: int, hi: int) -> None:
-    """Velocity and position update of rows lo..hi, in place.
+def _start_draw(rng: np.random.Generator, work: _Workspace) -> dict | None:
+    """Draw work.u whole on a single block and return None. Otherwise move
+    rng past the draw and return its state at the start, for `_draw_rows`."""
+    if not work.gens:
+        rng.random(out=work.u)
+        return None
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(work.u.size)
+    return state
 
-    The order of operations is that of
-    chi * (v + c1*r1*(pbest - x) + c2*r2*(nbest - x)), so every bit of the
-    result is the same as from the whole-swarm expression.
+
+def _draw_rows(work: _Workspace, state: dict, lo: int, hi: int) -> None:
+    """Rows lo..hi of the draw that starts at `state`, from the block's own
+    generator: each row takes 2*d doubles, one 64-bit output each."""
+    gen = work.gens[lo]
+    gen.bit_generator.state = state
+    gen.bit_generator.advance(lo * work.u[0].size)
+    gen.random(out=work.u[lo:hi])
+
+
+def _move_rows(swarm: Swarm, params: PsoParams, choices: np.ndarray,
+               work: _Workspace, state: dict | None, lo: int, hi: int) -> None:
+    """Draw rows lo..hi (unless the step drew whole), then update their
+    velocity and position in place.
+
+    The result has the bits of chi * (v + c1*r1*(pbest - x) +
+    c2*r2*(nbest - x)): IEEE multiplication commutes, so (pbest - x) *
+    (c1*r1) is the same number, and the additions into v keep their order.
     """
+    if state is not None:
+        _draw_rows(work, state, lo, hi)
     x = swarm.positions[lo:hi]
     v = swarm.velocities[lo:hi]
-    u = work.u[lo:hi]
-    a = work.a[lo:hi]
-    b = work.b[lo:hi]
-    nbest = work.nbest[lo:hi]
-    np.take(swarm.pbest, choices[lo:hi], axis=0, out=nbest)
-    np.multiply(params.c1, u[..., 0], out=a)
-    np.subtract(swarm.pbest[lo:hi], x, out=b)
-    a *= b
-    v += a
-    np.multiply(params.c2, u[..., 1], out=a)
-    np.subtract(nbest, x, out=b)
-    a *= b
-    v += a
+    u = work.u[lo:hi].reshape(hi - lo, work.c.size)
+    u *= work.c
+    c1r1, c2r2 = u[:, 0::2], u[:, 1::2]
+    diff = work.nbest[lo:hi]
+    np.subtract(swarm.pbest[lo:hi], x, out=diff)
+    diff *= c1r1
+    v += diff
+    # "clip": choices are valid rows, and "raise" would buffer out in a copy
+    np.take(swarm.pbest, choices[lo:hi], axis=0, out=diff, mode="clip")
+    diff -= x
+    diff *= c2r2
+    v += diff
     v *= params.chi
     x += v
 
@@ -227,9 +262,10 @@ def step(swarm: Swarm, g: topo.TopologyGraph, params: PsoParams,
     on strict improvement only.
     """
     choices = _best_neighbors(swarm, g)
-    rng.random(work.u.shape, out=work.u)
-    work.rows(partial(_move_rows, swarm, params, choices, work))
-    fitness = objective.evaluate_many(swarm.positions, rows=work.rows)
+    state = _start_draw(rng, work)
+    work.rows(partial(_move_rows, swarm, params, choices, work, state))
+    fitness = objective.evaluate_many(swarm.positions, rows=work.rows,
+                                      scratch=work.u)
     _check_finite(fitness)
     improved = fitness < swarm.pbest_fitness
     np.copyto(swarm.pbest, swarm.positions, where=improved[:, None])
@@ -282,7 +318,7 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams,
     # inherited without its threads by every process a sweep forks. It
     # starts no thread while there is a single block.
     with ThreadPoolExecutor(max_workers=max(1, blocks - 1)) as pool:
-        work = _Workspace(n, d, blocks, pool)
+        work = _Workspace(params, d, blocks, pool)
         for t in range(1, params.t_max + 1):
             try:
                 choices, f_g = step(swarm, g, params, objective, rng, work)

@@ -204,6 +204,7 @@ class TestBatchEvaluation:
     def test_row_blocks_do_not_change_any_bit(self):
         # A row-block runner may split the rows anywhere: sphere, F2 and F19
         # are row-local, and F6 and F14 never split their matrix products.
+        # Neither does working in a caller's scratch instead of temporaries.
         calls = []
 
         def uneven_blocks(fn):
@@ -219,3 +220,7 @@ class TestBatchEvaluation:
             blocked = obj.evaluate_many(xs, rows=uneven_blocks)
             assert blocked.tobytes() == whole.tobytes()
             assert bool(calls) == (fid not in (FunctionId.F6, FunctionId.F14))
+            scratch = np.full((7, 10, 2), np.nan)
+            in_scratch = obj.evaluate_many(xs, rows=uneven_blocks, scratch=scratch)
+            assert in_scratch.tobytes() == whole.tobytes()
+            assert np.isnan(scratch).all() == (fid in (FunctionId.F6, FunctionId.F14))

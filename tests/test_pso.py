@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from swarmnet.pso import (
     run,
     step,
 )
-from swarmnet.pso import _best_neighbors, _Workspace
+from swarmnet.pso import _best_neighbors, _draw_rows, _start_draw, _Workspace
 from swarmnet.topology import TopologyKind, build_topology
 
 
@@ -123,7 +124,7 @@ class TestStep:
         ref_rng.uniform(*objective.bounds, (4, 3))
         draws = ref_rng.random((4, 3, 2))
 
-        choices, f_g = step(swarm, g, params, objective, rng, _Workspace(4, 3))
+        choices, f_g = step(swarm, g, params, objective, rng, _Workspace(params, 3))
 
         for i in range(4):
             nbrs = [int(v) for v in g.adjacency[i]]
@@ -161,7 +162,7 @@ class TestStep:
             min((int(v) for v in g.adjacency[i]), key=lambda j: (before[j], j))
             for i in range(4)
         ]
-        choices, _ = step(swarm, g, params, objective, rng, _Workspace(4, 2))
+        choices, _ = step(swarm, g, params, objective, rng, _Workspace(params, 2))
         assert list(choices) == expected
 
     def test_pbest_updates_only_on_strict_improvement(self):
@@ -169,7 +170,7 @@ class TestStep:
             dimension = 2
             bounds = (-1.0, 1.0)
 
-            def evaluate_many(self, xs, rows=None):
+            def evaluate_many(self, xs, rows=None, scratch=None):
                 return np.full(len(xs), 3.0)
 
         objective = Constant()
@@ -178,7 +179,7 @@ class TestStep:
         swarm = initialize_swarm(objective, params, rng)
         initial_pbest = swarm.pbest.copy()
         step(swarm, build_topology(TopologyKind.RING, 4), params, objective, rng,
-             _Workspace(4, 2))
+             _Workspace(params, 2))
         assert np.array_equal(swarm.pbest, initial_pbest)
         assert np.all(swarm.pbest_fitness == 3.0)
 
@@ -191,7 +192,7 @@ class TestBufferOwnership:
             dimension = 2
             bounds = (-1.0, 1.0)
 
-            def evaluate_many(self, xs, rows=None):
+            def evaluate_many(self, xs, rows=None, scratch=None):
                 returned.append(np.sum(xs * xs, axis=1))
                 return returned[-1]
 
@@ -207,7 +208,7 @@ class TestBufferOwnership:
         rng = np.random.default_rng(4)
         swarm = initialize_swarm(objective, params, rng)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            work = _Workspace(7, 5, blocks, pool)
+            work = _Workspace(params, 5, blocks, pool)
             for _ in range(4):
                 step(swarm, g, params, objective, rng, work)
         arrays = {
@@ -216,12 +217,31 @@ class TestBufferOwnership:
             "pbest": swarm.pbest,
             "pbest_fitness": swarm.pbest_fitness,
             "u": work.u,
-            "a": work.a,
-            "b": work.b,
             "nbest": work.nbest,
         }
         for (name_a, a), (name_b, b) in itertools.combinations(arrays.items(), 2):
             assert not np.shares_memory(a, b), (name_a, name_b)
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("n,d,blocks", [(7, 1, 3), (7, 5, 2), (12, 10, 3),
+                                            (100, 7, 2)])
+    def test_block_draws_are_the_serial_draw(self, n, d, blocks):
+        rng = np.random.default_rng(21)
+        serial = np.random.default_rng(21)
+        with ThreadPoolExecutor(max_workers=blocks - 1) as pool:
+            work = _Workspace(PsoParams(swarm_size=n), d, blocks, pool)
+            for _ in range(2):  # the second draw starts where the first ended
+                state = _start_draw(rng, work)
+                work.rows(partial(_draw_rows, work, state))
+                assert work.u.tobytes() == serial.random((n, d, 2)).tobytes()
+        assert rng.random(9).tobytes() == serial.random(9).tobytes()
+
+    def test_single_block_draws_from_the_run_generator(self):
+        rng = np.random.default_rng(21)
+        work = _Workspace(PsoParams(swarm_size=7), 5)
+        assert _start_draw(rng, work) is None and not work.gens
+        assert work.u.tobytes() == np.random.default_rng(21).random((7, 5, 2)).tobytes()
 
 
 class _ExplodingObjective:
@@ -233,7 +253,7 @@ class _ExplodingObjective:
     def __init__(self):
         self.calls = 0
 
-    def evaluate_many(self, xs, rows=None):
+    def evaluate_many(self, xs, rows=None, scratch=None):
         self.calls += 1
         if self.calls == 1:
             return np.ones(len(xs))
@@ -307,6 +327,22 @@ class TestRun:
             tracemalloc.stop()
         assert len(log) == t_max
         assert peak <= 1.25 * log.choices.nbytes
+
+    def test_step_works_in_the_swarm_and_three_workspace_arrays(self):
+        # Swarm (3 n*d arrays), u (2) and nbest (1) peak at 6 n*d floats. The
+        # separate r1/r2 products, differences and F2 temporaries, and the
+        # buffered copy of np.take's out, peaked at over 8.
+        n, d = 100, 1000
+        g = build_topology(TopologyKind.RING, n)
+        params = PsoParams(swarm_size=n, t_max=5, delta_window=5)
+        objective = make_objective(ObjectiveSpec(FunctionId.F2, dimension=d))
+        tracemalloc.start()
+        try:
+            run(objective, g, params, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * n * d * 8
 
     def test_same_seed_same_run(self):
         g = build_topology(TopologyKind.RING, 6)
