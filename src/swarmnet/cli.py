@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execute one run of a single configured topology")
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="execute the full topology x repetition matrix")
-    p_sweep.add_argument("--jobs", metavar="N", type=int, default=1,
-                         help="worker processes (default: 1)")
+    p_sweep.add_argument("--jobs", metavar="N", type=int, default=available_cpus(),
+                         help="worker processes (default: the CPUs this "
+                              "process may run on, here %(default)s)")
     p_analyze = sub.add_parser("analyze", parents=[common],
                                help="recompute metrics from saved logs")
     p_analyze.add_argument("logdir", help="directory containing selection logs")

@@ -7,13 +7,12 @@ Iterations are 1-based in every file; particle indices are 0-based.
 
 A selection log has one grammar, the one write_interaction_log writes: the
 header line iteration,particle,best_neighbor, then lines of three runs of
-1-18 ASCII digits joined by commas, every line ending in the header's line
-end (\r\n, \n or \r), the last one optionally. Its rows come in the
-writer's order too, iteration-major: row k holds iteration k // n + 1 and
-particle k % n, where n is one more than the largest particle index. The
-body is parsed column by column with numpy, in chunks of whole lines, and
-checked against that order in one pass. Any other file is an InputError
-that names its first bad line.
+1-18 ASCII digits joined by commas, every line, the last one included,
+ending in \r\n. Its rows come in the writer's order too, iteration-major:
+row k holds iteration k // n + 1 and particle k % n, where n is one more
+than the largest particle index. The body is parsed column by column with
+numpy, in chunks of whole lines, and checked against that order in one
+pass. Any other file is an InputError that names its first bad line.
 """
 
 from __future__ import annotations
@@ -113,40 +112,23 @@ def _rows(path, header: list[str], width: int) -> Iterator[tuple[int, list[str]]
 _CHUNK = 1 << 17
 
 
-def _log_eol(start: bytes) -> bytes | None:
-    """The line end after the log header that start opens with, b"" if the
-    file ends with the header, or None if start does not open with it.
-
-    start holds the file's first len(_LOG_HEAD) + 2 bytes, or all of a
-    shorter file.
-    """
-    if not start.startswith(_LOG_HEAD):
-        return None
-    rest = start[len(_LOG_HEAD):]
-    eol = b"\r\n" if rest.startswith(b"\r\n") else rest[:1]
-    return eol if eol in (b"\r\n", b"\n", b"\r", b"") else None
-
-
-def _parse_events(data: bytes, eol: bytes) -> np.ndarray | None:
+def _parse_events(data: bytes) -> np.ndarray | None:
     """The log body as (rows, 3) int64 events, or None if it breaks the grammar.
 
-    eol is the header's line end. Every line must hold three runs of 1-18
-    ASCII digits joined by commas and end in eol, the last one optionally,
-    and no iteration may be 0. Such a field always fits int64 and means
-    what int() reads in it.
+    Every line must hold three runs of 1-18 ASCII digits joined by commas
+    and end in \r\n, and no iteration may be 0. Such a field always fits
+    int64 and means what int() reads in it.
 
-    With its digits deleted the body must read ",," and the line end once
-    per line. It is then parsed in chunks of whole lines, so memory beyond
-    the events stays bounded: the separators' offsets bound every field,
-    which must hold 1-18 digits, and the fields' k-th last digits come in
-    one gather per k.
+    With its digits deleted the body must read ",,\r\n" once per line. It is
+    then parsed in chunks of whole lines, so memory beyond the events stays
+    bounded: the separators' offsets bound every field, which must hold
+    1-18 digits, and the fields' k-th last digits come in one gather per k.
     """
-    if data and not data.endswith(eol):
-        data += eol
-    unit = b",," + eol
+    if data and not data.endswith(b"\r\n"):
+        return None
     seps = data.translate(None, b"0123456789")
-    lines = len(seps) // len(unit)
-    if seps != unit * lines:
+    lines = len(seps) // 4
+    if seps != b",,\r\n" * lines:
         return None
     del seps
     events = np.empty((lines, 3), dtype=np.int64)
@@ -154,20 +136,22 @@ def _parse_events(data: bytes, eol: bytes) -> np.ndarray | None:
     body = np.frombuffer(data, dtype=np.uint8)
     lo = done = 0
     while lo < len(data):
-        hi = data.find(eol, lo + _CHUNK - 1)
-        hi = len(data) if hi < 0 else hi + len(eol)
+        hi = data.find(b"\r\n", lo + _CHUNK - 1)
+        hi = len(data) if hi < 0 else hi + 2
         chunk = body[lo:hi]
-        # where each field ends: at a comma or at its line end's first byte
+        # where each field ends: at a comma or at its line end's \r, which
+        # the \n must follow with no digit between
         ends = chunk < ord("0")
-        if eol == b"\r\n":
-            ends &= chunk != ord("\n")
+        ends &= chunk != ord("\n")
         ends = np.flatnonzero(ends)
+        if (chunk.take(ends[2::3] + 1) != ord("\n")).any():
+            return None
         # one more than each field's digits: the distance from the previous
-        # end, less the line end's second byte before a line's first field
+        # end, less the \n before a line's first field
         gaps = np.empty_like(ends)
         gaps[0] = ends[0] + 1
         np.subtract(ends[1:], ends[:-1], out=gaps[1:])
-        gaps[3::3] -= len(eol) - 1
+        gaps[3::3] -= 1
         if gaps.min() < 2 or gaps.max() > 19:
             return None
         # Right to left, the k-th last digit of every field at once. Past a
@@ -191,15 +175,16 @@ def _parse_events(data: bytes, eol: bytes) -> np.ndarray | None:
     return events
 
 
-def _first_bad_line(path, body: bytes, eol: bytes) -> InputError:
+def _first_bad_line(path, body: bytes) -> InputError:
     """The error at the first line of a body _parse_events refused.
 
     Within a line, a field count other than 3 comes first, then a field
-    that is not 1-18 ASCII digits, then iteration 0.
+    that is not 1-18 ASCII digits, then iteration 0, then, on a last line
+    with no line end, that line end.
     """
-    lines = body.split(eol) if body else []
-    if lines and not lines[-1]:
-        lines.pop()
+    *lines, last = body.split(b"\r\n")
+    if last:  # a last line with no line end
+        lines.append(last)
     for line_no, line in enumerate(lines, start=2):
         fields = line.decode(errors="replace").split(",")
         if len(fields) != 3:
@@ -209,6 +194,8 @@ def _first_bad_line(path, body: bytes, eol: bytes) -> InputError:
                                 f"expected 1-18 digits per field, got {fields}")
         if int(fields[0]) == 0:
             return _parse_error(path, line_no, f"out-of-range values {fields}")
+    if last:
+        return _parse_error(path, len(lines) + 1, "line does not end in \\r\\n")
     raise AssertionError(f"{path}: the column parser refused a body in the log grammar")
 
 
@@ -252,20 +239,18 @@ def _check_events(path, events: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(b).reshape(full, n)
 
 
-def _log_body(path) -> tuple[bytes, bytes]:
-    """(the header's line end, the bytes after it) of a selection log.
+def _log_body(path) -> bytes:
+    """The bytes after a selection log's header line.
 
-    Raises at line 1 unless the file opens with the header line.
+    Raises at line 1, quoting what the file opens with, unless that is the
+    header line and \r\n.
     """
+    head = _LOG_HEAD + b"\r\n"
     with _open(path, "rb") as fh:
-        start = fh.read(len(_LOG_HEAD) + 2)
-        eol = _log_eol(start)
-        if eol is None:
-            first = (start + fh.readline()).splitlines()[:1]
-            got = first[0].decode(errors="replace").split(",") if first else None
-            raise _parse_error(path, 1, f"expected header {LOG_HEADER}, got {got}")
-        fh.seek(len(_LOG_HEAD) + len(eol))
-        return eol, fh.read()
+        start = fh.read(len(head))
+        if start != head:
+            raise _parse_error(path, 1, f"expected header line {head!r}, got {start!r}")
+        return fh.read()
 
 
 def read_interaction_log(path) -> InteractionLog:
@@ -278,10 +263,10 @@ def read_interaction_log(path) -> InteractionLog:
     order, and no particle may select itself: its own personal best never
     competes for best neighbor. Format errors anywhere outrank these checks.
     """
-    eol, body = _log_body(path)
-    events = _parse_events(body, eol)
+    body = _log_body(path)
+    events = _parse_events(body)
     if events is None:
-        raise _first_bad_line(path, body, eol)
+        raise _first_bad_line(path, body)
     return InteractionLog(_check_events(path, events))
 
 
@@ -363,18 +348,18 @@ def read_summary(path) -> list[SummaryRow]:
 
 
 def find_log_files(root) -> list[Path]:
-    """All CSV files under root that open with the selection-log header line.
+    """All CSV files under root that open with the selection-log header's text.
 
-    A file that cannot be opened is skipped. A log with a bad line past its
-    header is found, and its reader names that line.
+    A file that cannot be opened is skipped. A log with another line end
+    or a bad line past its header is found, and its reader names that line.
     """
     found = []
     for path in sorted(Path(root).rglob("*.csv")):
         try:
             with open(path, "rb") as fh:
-                start = fh.read(len(_LOG_HEAD) + 2)
+                start = fh.read(len(_LOG_HEAD))
         except OSError:
             continue
-        if _log_eol(start) is not None:
+        if start == _LOG_HEAD:
             found.append(path)
     return found

@@ -80,25 +80,20 @@ def oracle_topology(kind_value, n, k=None):
 def oracle_read_log(path):
     """choices[t-1][i] of a selection log, checked one row at a time.
 
-    The file opens with the header line; every later line holds three runs
-    of 1-18 ASCII digits joined by commas and ends in the header's line
-    end, the last one optionally. The rows then fill iteration 1 with
-    particles 0..n-1 in turn, then iteration 2, and so on, where n is one
-    more than the largest particle index.
+    The file opens with the header line and \r\n; every later line holds
+    three runs of 1-18 ASCII digits joined by commas and ends in \r\n, the
+    last one included. The rows then fill iteration 1 with particles
+    0..n-1 in turn, then iteration 2, and so on, where n is one more than
+    the largest particle index.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    head = ",".join(LOG_HEADER).encode()
-    if data == head:
-        eol = b""
-    else:
-        eol = next((e for e in (b"\r\n", b"\n", b"\r") if data.startswith(head + e)), None)
-    if eol is None:
-        got = data.splitlines()[0].decode(errors="replace").split(",") if data else None
-        raise LogError(f"{path}:1: expected header {LOG_HEADER}, got {got}")
-    body = data[len(head) + len(eol):]
-    lines = body.split(eol) if body else []
-    if lines and lines[-1] == b"":
+    head = (",".join(LOG_HEADER) + "\r\n").encode()
+    if not data.startswith(head):
+        raise LogError(f"{path}:1: expected header line {head!r}, got {data[:len(head)]!r}")
+    lines = data[len(head):].split(b"\r\n")
+    unterminated = lines[-1] != b""
+    if not unterminated:
         del lines[-1]
     events = []
     for line_no, line in enumerate(lines, start=2):
@@ -111,6 +106,8 @@ def oracle_read_log(path):
         if t < 1:
             raise LogError(f"{path}:{line_no}: out-of-range values {row}")
         events.append((t, i, b))
+    if unterminated:
+        raise LogError(f"{path}:{len(lines) + 1}: line does not end in \\r\\n")
     if not events:
         raise LogError(f"{path}:2: log contains no selection events")
     n = max(i for _, i, _ in events) + 1

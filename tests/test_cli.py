@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import swarmnet
-from swarmnet import experiment, io, pso
+from swarmnet import cli, experiment, io, pso
 from swarmnet.benchmarks import FunctionId
 from swarmnet.cli import main
 from swarmnet.config import (
@@ -198,39 +198,33 @@ class TestRoundTrips:
 
     def test_malformed_log_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(
-            "iteration,particle,best_neighbor\n1,0,1\n1,1,zero\n"
-        )
+        path.write_bytes(b"iteration,particle,best_neighbor\r\n1,0,1\r\n1,1,zero\r\n")
         with pytest.raises(InputError, match=r"bad\.csv:3"):
             io.read_interaction_log(path)
 
     def test_incomplete_log_rejected(self, tmp_path):
         path = tmp_path / "partial.csv"
-        path.write_text("iteration,particle,best_neighbor\n2,0,1\n2,1,0\n")
+        path.write_bytes(b"iteration,particle,best_neighbor\r\n2,0,1\r\n2,1,0\r\n")
         with pytest.raises(InputError, match=r"partial\.csv:2: expected iteration 1, "
                                              r"particle 0, got \(2, 0, 1\)$"):
             io.read_interaction_log(path)
 
     def test_duplicate_log_row_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
-        path.write_text(
-            "iteration,particle,best_neighbor\n1,0,1\n1,0,1\n1,1,0\n"
-        )
+        path.write_bytes(b"iteration,particle,best_neighbor\r\n1,0,1\r\n1,0,1\r\n1,1,0\r\n")
         with pytest.raises(InputError, match=r"dup\.csv:3: expected iteration 1, "
                                              r"particle 1, got \(1, 0, 1\)$"):
             io.read_interaction_log(path)
 
     def test_self_selection_rejected(self, tmp_path):
         path = tmp_path / "self.csv"
-        path.write_text(
-            "iteration,particle,best_neighbor\n1,0,1\n1,1,1\n"
-        )
+        path.write_bytes(b"iteration,particle,best_neighbor\r\n1,0,1\r\n1,1,1\r\n")
         with pytest.raises(InputError, match=r"self\.csv:3: particle 1 selects itself"):
             io.read_interaction_log(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
-        path.write_text("a,b,c\n1,0,1\n")
+        path.write_bytes(b"a,b,c\r\n1,0,1\r\n")
         with pytest.raises(InputError, match=r"h\.csv:1: expected header"):
             io.read_interaction_log(path)
 
@@ -337,6 +331,20 @@ class TestCliCommands:
         assert trees[0] == trees[1]
         assert set(splits) == {2}
 
+    def test_sweep_jobs_defaults_to_available_cpus(self, tiny_config, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "available_cpus", lambda: 2)
+        workers = []
+        pool = experiment.ProcessPoolExecutor
+
+        def spy(max_workers, **kwargs):
+            workers.append(max_workers)
+            return pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", spy)
+        assert main(["sweep", "--config", str(tiny_config),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert workers == [2]
+
     def test_analyze_reproduces_online_series(self, tiny_config, tmp_path):
         run_out = tmp_path / "run"
         assert main(["run", "--config", str(tiny_config),
@@ -395,13 +403,31 @@ class TestCliCommands:
         io.write_interaction_log(
             logdir / "a" / "log.csv", InteractionLog(np.array([[1, 0, 0], [2, 2, 1]]))
         )
-        (logdir / "b" / "log.csv").write_text(
-            "iteration,particle,best_neighbor\n1,0,0\n1,1,0\n1,2,0\n"
+        (logdir / "b" / "log.csv").write_bytes(
+            b"iteration,particle,best_neighbor\r\n1,0,0\r\n1,1,0\r\n1,2,0\r\n"
         )
         out = tmp_path / "out"
         assert main(["analyze", str(logdir), "--set", "windows=1",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_analyze_refuses_a_log_with_lf_line_ends(self, tmp_path, caplog):
+        # A log that opens with the header's text is found whatever its
+        # line ends, so one that ends its lines in \n is refused, not skipped.
+        logdir = tmp_path / "logs"
+        (logdir / "a").mkdir(parents=True)
+        (logdir / "b").mkdir()
+        log = InteractionLog(np.array([[1, 0, 0], [2, 2, 1]]))
+        io.write_interaction_log(logdir / "a" / "log.csv", log)
+        lf = logdir / "b" / "log.csv"
+        io.write_interaction_log(lf, log)
+        lf.write_bytes(lf.read_bytes().replace(b"\r\n", b"\n"))
+        out = tmp_path / "out"
+        assert main(["analyze", str(logdir), "--set", "windows=1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert len(caplog.messages) == 1
+        assert caplog.messages[0].startswith(f"{lf}:1: expected header line ")
 
     def test_analyze_skips_csv_that_is_not_text(self, tmp_path, caplog):
         logdir = tmp_path / "logs"
@@ -453,8 +479,8 @@ class TestCliCommands:
     def test_self_selecting_log_exits_two(self, tmp_path):
         logdir = tmp_path / "logs"
         logdir.mkdir()
-        (logdir / "log.csv").write_text(
-            "iteration,particle,best_neighbor\n1,0,0\n1,1,0\n1,2,0\n"
+        (logdir / "log.csv").write_bytes(
+            b"iteration,particle,best_neighbor\r\n1,0,0\r\n1,1,0\r\n1,2,0\r\n"
         )
         assert main(["analyze", str(logdir), "--out", str(tmp_path / "a")]) == 2
         assert main(["destruction", str(logdir / "log.csv"),

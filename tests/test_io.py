@@ -27,7 +27,7 @@ ROWS = ["1,0,1", "1,1,2", "1,2,0", "2,0,2", "2,1,0", "2,2,1"]
 BIG = "99999999999999999999"
 
 
-def _file(rows, eol="\n", final_eol=True):
+def _file(rows, eol="\r\n", final_eol=True):
     return HEADER + eol + eol.join(rows) + (eol if final_eol else "")
 
 
@@ -36,18 +36,20 @@ CORPUS = {
     "blank_line_in_middle": _file(ROWS[:3] + [""] + ROWS[3:]),
     "trailing_blank_line": _file(ROWS + [""]),
     "whitespace_line": _file(ROWS[:2] + ["   "] + ROWS[2:]),
-    "no_final_eol": _file(ROWS, final_eol=False),
-    "crlf": _file(ROWS, eol="\r\n"),
-    "crlf_no_final_eol": _file(ROWS, eol="\r\n", final_eol=False),
+    "no_final_eol": _file(ROWS, eol="\n", final_eol=False),
+    "lf": _file(ROWS, eol="\n"),
+    "crlf_no_final_eol": _file(ROWS, final_eol=False),
     "cr": _file(ROWS, eol="\r"),
     "mixed_eol": HEADER + "\r\n" + "\n".join(ROWS) + "\r\n",
+    "digit_inside_line_end": _file(["1,0,1\r5\n1,1,2"] + ROWS[2:]),
+    "digit_after_last_line_end": _file(ROWS) + "7",
     "space_in_field": _file(["1, 0,1 "] + ROWS[1:]),
     "tab_in_field": _file(["1,\t0,1"] + ROWS[1:]),
     "plus_zero": _file(["1,+0,1"] + ROWS[1:]),
     "leading_zero": _file(["01,0,001"] + ROWS[1:]),
     "minus_zero": _file(["1,-0,1"] + ROWS[1:]),
     "quoted_field": _file(['1,"0",1'] + ROWS[1:]),
-    "quoted_newline": _file(['1,"0\n",1'] + ROWS[1:]),
+    "quoted_newline": _file(['1,"0\r\n",1'] + ROWS[1:]),
     "underscore": _file(["1,0,1_0"] + ROWS[1:]),
     "underscore_in_range": _file(["1,0,0_1"] + ROWS[1:]),
     "float": _file(["1,0,1.0"] + ROWS[1:]),
@@ -92,12 +94,12 @@ CORPUS = {
     "single_event": _file(["1,0,0"]),
     "swapped_particles": _file(["1,1,0", "1,0,1"]),
     "empty_file": "",
-    "header_only": HEADER + "\n",
+    "header_only": HEADER + "\r\n",
     "header_only_no_eol": HEADER,
-    "header_then_blank": HEADER + "\n\n",
-    "wrong_header": "a,b,c\n" + "\n".join(ROWS) + "\n",
-    "quoted_header": '"iteration",particle,best_neighbor\n' + "\n".join(ROWS) + "\n",
-    "blank_before_header": "\n" + _file(ROWS),
+    "header_then_blank": HEADER + "\r\n\r\n",
+    "wrong_header": "a,b,c\r\n" + "\r\n".join(ROWS) + "\r\n",
+    "quoted_header": '"iteration",particle,best_neighbor\r\n' + "\r\n".join(ROWS) + "\r\n",
+    "blank_before_header": "\r\n" + _file(ROWS),
 }
 
 
@@ -184,23 +186,24 @@ def _refuse(*args, **kwargs):
 def test_writer_output_takes_the_column_parser(tmp_path, monkeypatch):
     # 100 x 200 rows span two default chunks.
     choices, path = _writer_log(tmp_path, n=100, total=200, seed=3)
-    crlf = path.read_bytes()
     monkeypatch.setattr(io, "_first_bad_line", _refuse)
-    for eol in (b"\r\n", b"\n", b"\r"):
-        path.write_bytes(crlf.replace(b"\r\n", eol))
-        read = io.read_interaction_log(path).choices
-        assert np.array_equal(read, choices), eol
-        # a (T, n) array of its own, not a view that keeps the (rows, 3)
-        # events alive
-        assert read.flags.c_contiguous
-        assert read.base is None or read.base.nbytes == read.nbytes
+    read = io.read_interaction_log(path).choices
+    assert np.array_equal(read, choices)
+    # a (T, n) array of its own, not a view that keeps the (rows, 3)
+    # events alive
+    assert read.flags.c_contiguous
+    assert read.base is None or read.base.nbytes == read.nbytes
 
 
 def test_writer_bytes_take_parse_events():
     body = b"1,0,1\r\n1,1," + b"9" * 18 + b"\r\n"
-    assert io._parse_events(body, b"\r\n").tolist() == [[1, 0, 1], [1, 1, 10**18 - 1]]
-    assert io._parse_events(body.replace(b"9" * 18, b"0" * 18 + b"1"), b"\r\n") is None
-    assert io._parse_events(body, b"\n") is None
+    assert io._parse_events(body).tolist() == [[1, 0, 1], [1, 1, 10**18 - 1]]
+    assert io._parse_events(body.replace(b"9" * 18, b"0" * 18 + b"1")) is None
+    # another line end, none on the last line, a digit inside one or after
+    # the last one
+    for other in (body.replace(b"\r\n", b"\n"), body[:-2], body[:-1],
+                  body.replace(b"\r\n", b"\r5\n", 1), body + b"5"):
+        assert io._parse_events(other) is None, other
 
 
 def test_parse_events_sums_digits_in_int64():
@@ -208,8 +211,8 @@ def test_parse_events_sums_digits_in_int64():
     # integer type, as uint8 digits times 10**k would.
     fields = ["300", "999", "399", "9" * 18, "4000", "65536", "70000000000",
               "123456789012345678", "1", "256", "1000", "65535"]
-    body = "".join(",".join(fields[k:k + 3]) + "\n" for k in range(0, len(fields), 3))
-    events = io._parse_events(body.encode(), b"\n")
+    body = "".join(",".join(fields[k:k + 3]) + "\r\n" for k in range(0, len(fields), 3))
+    events = io._parse_events(body.encode())
     assert events.dtype == np.int64
     assert events.reshape(-1).tolist() == [int(v) for v in fields]
 
@@ -223,7 +226,7 @@ def test_parse_events_sums_digits_in_int64():
 def test_bad_neighbor_in_writer_order_matches_oracle(tmp_path, rows, line):
     # A bad neighbor in rows in the writer's order is named at its line,
     # the first in file order.
-    text = _file([rows.get(k, row) for k, row in enumerate(ROWS)], eol="\r\n")
+    text = _file([rows.get(k, row) for k, row in enumerate(ROWS)])
     path = _write(tmp_path, "ordered", text)
     outcome = _outcome(path)
     assert outcome == _oracle_outcome(path)
@@ -250,8 +253,30 @@ def test_reader_memory_stays_below_the_loadtxt_reader(tmp_path):
 
 def test_empty_file_names_missing_header(tmp_path):
     path = _write(tmp_path, "empty", "")
-    with pytest.raises(InputError, match=r"empty\.csv:1: .*got None$"):
+    with pytest.raises(InputError, match=r"empty\.csv:1: .*got b''$"):
         io.read_interaction_log(path)
+
+
+def test_header_error_quotes_the_bytes_read(tmp_path):
+    path = _write(tmp_path, "lf", _file(ROWS, eol="\n"))
+    expected = (f"{path}:1: expected header line "
+                f"b'iteration,particle,best_neighbor\\r\\n', "
+                f"got b'iteration,particle,best_neighbor\\n1'")
+    assert _outcome(path) == expected == _oracle_outcome(path)
+
+
+def test_cut_log_is_refused_at_its_last_line(tmp_path):
+    # Cut inside its last field, the writer's last row 4,12,11 would read
+    # as neighbor 1; cut just before its last line end, as the whole log.
+    path = tmp_path / "log.csv"
+    choices = np.tile((np.arange(13) + 12) % 13, (4, 1))
+    io.write_interaction_log(path, InteractionLog(choices))
+    data = path.read_bytes()
+    assert data.endswith(b"\r\n4,12,11\r\n")
+    for cut in (data[:-3], data[:-2]):
+        path.write_bytes(cut)
+        expected = f"{path}:53: line does not end in \\r\\n"
+        assert _outcome(path) == expected == _oracle_outcome(path)
 
 
 def test_value_above_int64_in_b_keeps_its_digits(tmp_path):
@@ -312,10 +337,13 @@ def test_wide_particle_index_is_missing_events(tmp_path):
     ("\r\n", "\n"), ("\n", "\r\n"), ("\r", "\n"), ("\n", "\r"), ("\r\n", "\r"),
 ])
 def test_body_line_ends_must_be_the_headers(tmp_path, head_eol, body_eol):
+    # Only \r\n is read: another header line end is refused at line 1,
+    # another body line end under a \r\n header at line 2.
     path = _write(tmp_path, "mixed", HEADER + head_eol + body_eol.join(ROWS) + body_eol)
     outcome = _outcome(path)
     assert outcome == _oracle_outcome(path)
-    assert outcome.startswith(f"{path}:2: ")
+    line = 2 if head_eol == "\r\n" else 1
+    assert outcome.startswith(f"{path}:{line}: ")
 
 
 # Field tokens for mutated logs: ones both readers take, and ones they refuse.
@@ -350,8 +378,7 @@ def mutated_logs(draw):
             rows = rows[:k] + [[]] + rows[k:]
         elif kind == "width" and rows:
             rows[k] = rows[k][:2] if draw(st.booleans()) else rows[k] + ["0"]
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return _file([",".join(r) for r in rows], eol=eol, final_eol=draw(st.booleans()))
+    return _file([",".join(r) for r in rows], final_eol=draw(st.booleans()))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -419,12 +446,12 @@ def test_table_readers_name_file_and_line(tmp_path, reader, header, row):
                          TABLES + [(io.read_interaction_log, io.LOG_HEADER, "1,0,1")])
 def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader, header, row):
     path = tmp_path / "t.csv"
-    head = (",".join(header) + "\n").encode()
-    rows = (row + "\n").encode()
+    head = (",".join(header) + "\r\n").encode()
+    rows = (row + "\r\n").encode()
     # In the header, in the first rows, and past the first read buffer. The
     # tables name the file; a selection log names the line the byte is in.
-    for line_no, data in ((1, b"\xff" + head + rows), (3, head + rows + b"\xff\n"),
-                          (2002, head + rows * 2000 + b"1,\xff\n")):
+    for line_no, data in ((1, b"\xff" + head + rows), (3, head + rows + b"\xff\r\n"),
+                          (2002, head + rows * 2000 + b"1,\xff\r\n")):
         path.write_bytes(data)
         where = f"t.csv:{line_no}: " if reader is io.read_interaction_log else "t.csv: not UTF-8 text"
         with pytest.raises(InputError, match=re.escape(where)):
@@ -432,21 +459,26 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader, header, row):
 
 
 def test_find_log_files_skips_files_that_are_not_text(tmp_path):
-    head = (",".join(io.LOG_HEADER) + "\n").encode()
+    head = (",".join(io.LOG_HEADER) + "\r\n").encode()
     (tmp_path / "junk.csv").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe" + head)
-    (tmp_path / "log.csv").write_bytes(head + b"1,0,1\n1,1,\xff\n")
+    (tmp_path / "log.csv").write_bytes(head + b"1,0,1\r\n1,1,\xff\r\n")
     # The log's header marks it as a log; its reader then names the bad byte.
     assert io.find_log_files(tmp_path) == [tmp_path / "log.csv"]
 
 
 def test_find_log_files_takes_the_readers_header(tmp_path):
-    # A file is found exactly when the reader takes its header line. A
-    # quoted header, which csv reads as the log header, is neither.
+    # A file is found exactly when it opens with the header's text, and the
+    # reader takes its header line exactly when \r\n follows. A log with
+    # another line end is thus found and refused, not skipped. A quoted
+    # header, which csv reads as the log header, is neither.
     for name, text in CORPUS.items():
         _write(tmp_path, name, text)
     found = {path.stem for path in io.find_log_files(tmp_path)}
     header_errors = {name for name in CORPUS
                      if str(_outcome(tmp_path / f"{name}.csv")).startswith(
                          f"{tmp_path / name}.csv:1: ")}
-    assert "quoted_header" in header_errors
-    assert found == set(CORPUS) - header_errors
+    assert found == {name for name, text in CORPUS.items() if text.startswith(HEADER)}
+    assert header_errors == {name for name, text in CORPUS.items()
+                             if not text.startswith(HEADER + "\r\n")}
+    assert {"lf", "cr", "no_final_eol", "header_only_no_eol"} <= found & header_errors
+    assert "quoted_header" in header_errors - found
