@@ -66,15 +66,6 @@ def _load(args) -> ExperimentConfig:
     return load_config(args.config, overrides)
 
 
-def _write_cell(out_dir: Path, result) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    io.write_interaction_log(out_dir / "log.csv", result.log)
-    io.write_run_trace(out_dir / "trace.csv", result.trace)
-    io.write_diversity_series(
-        out_dir / "diversity.csv", result.id_iterations, result.id_values
-    )
-
-
 def cmd_run(args) -> int:
     config = _load(args)
     if len(config.topologies) != 1:
@@ -84,7 +75,7 @@ def cmd_run(args) -> int:
         )
     result = run_cell(config, config.topologies[0], repetition=0,
                       threads=available_cpus())
-    _write_cell(Path(args.out), result)
+    io.write_cell(args.out, result)
     status = (
         f"converged at {result.trace.converged_at}"
         if result.converged else "reached t_max"
@@ -100,15 +91,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load(args)
-    results, summaries = run_sweep(config, jobs=args.jobs)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for result in results:
-        cell_dir = (
-            out / result.function_id.value / result.label
-            / f"rep_{result.repetition}"
-        )
-        _write_cell(cell_dir, result)
+    _, summaries = run_sweep(config, out, jobs=args.jobs)
     io.write_summary(out / "summary.csv", summaries)
     for row in summaries:
         print(

@@ -18,6 +18,7 @@ pass. Any other file is an InputError that names its first bad line.
 from __future__ import annotations
 
 import csv
+import os
 import re
 from collections.abc import Iterator
 from pathlib import Path
@@ -33,6 +34,8 @@ from .topology import TopologyKind
 
 LOG_HEADER = ["iteration", "particle", "best_neighbor"]
 _LOG_HEAD = ",".join(LOG_HEADER).encode()
+# What a file is called until it is whole; see write_cell.
+PART_SUFFIX = ".part"
 TRACE_HEADER = ["iteration", "global_best_fitness", "fitness_improvement"]
 DIVERSITY_HEADER = ["iteration", "id_value"]
 DESTRUCTION_HEADER = ["t_w", "threshold", "component_count"]
@@ -55,16 +58,51 @@ def _write_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+class _LineEnds(dict):
+    """"{b}\r\n" for each value b, formatted the first time b is asked for."""
+
+    def __missing__(self, b):
+        end = self[b] = f"{b}\r\n"
+        return end
+
+
 def write_interaction_log(path, log: InteractionLog) -> None:
     """One row per (iteration, particle) selection event, iteration-major.
 
-    The bytes are those of csv.writer (comma-separated, CRLF line ends); each
-    iteration's rows are joined and written at once.
+    The bytes are those of csv.writer (comma-separated, CRLF line ends). The
+    "{i}," particle fields and each neighbor's "{b}\r\n" are formatted once
+    per call; an iteration's rows are joined with its "{t}," and written at
+    once.
     """
+    heads = [f"{i}," for i in range(log.choices.shape[1])]
+    ends = _LineEnds()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LOG_HEADER) + "\r\n")
         for t, row in enumerate(log.choices.tolist(), start=1):
-            fh.write("".join([f"{t},{i},{b}\r\n" for i, b in enumerate(row)]))
+            lead = f"{t},"
+            fh.write(lead + lead.join([h + ends[b] for h, b in zip(heads, row)]))
+
+
+def _write_replacing(path: Path, write, *args) -> None:
+    """write(temporary path, *args), then the file renamed to path.
+
+    The temporary name ends in PART_SUFFIX, not .csv, so a write cut short
+    leaves no file that find_log_files or a reader of path would take.
+    """
+    part = path.with_name(path.name + PART_SUFFIX)
+    write(part, *args)
+    os.replace(part, path)
+
+
+def write_cell(cell_dir, result) -> None:
+    """The log.csv, trace.csv and diversity.csv of one experiment.run_cell
+    result, in cell_dir, which is made if missing."""
+    cell_dir = Path(cell_dir)
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    _write_replacing(cell_dir / "log.csv", write_interaction_log, result.log)
+    _write_replacing(cell_dir / "trace.csv", write_run_trace, result.trace)
+    _write_replacing(cell_dir / "diversity.csv", write_diversity_series,
+                     result.id_iterations, result.id_values)
 
 
 def _parse_error(path, line_no: int, detail: str) -> InputError:

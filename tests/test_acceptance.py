@@ -19,6 +19,7 @@ import pytest
 
 from oracle import oracle_id
 import swarmnet
+from swarmnet import io
 from swarmnet.benchmarks import FunctionId, ObjectiveSpec, make_objective
 from swarmnet.experiment import (
     ExperimentConfig,
@@ -59,13 +60,15 @@ def _desk_config(function_id):
 
 
 @pytest.fixture(scope="module")
-def f2_sweep():
-    return run_sweep(_desk_config(FunctionId.F2))
+def f2_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("f2_sweep")
+    return (out, *run_sweep(_desk_config(FunctionId.F2), out))
 
 
 @pytest.fixture(scope="module")
-def f6_sweep():
-    return run_sweep(_desk_config(FunctionId.F6))
+def f6_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("f6_sweep")
+    return (out, *run_sweep(_desk_config(FunctionId.F6), out))
 
 
 def _random_log(rng, n, total):
@@ -75,7 +78,7 @@ def _random_log(rng, n, total):
 
 
 def test_criterion_01_diversity_decreases_with_connectivity(f2_sweep):
-    _, summaries = f2_sweep
+    _, _, summaries = f2_sweep
     mean_ids = [row.mean_id for row in summaries]
     assert all(a > b for a, b in zip(mean_ids, mean_ids[1:])), (
         f"mean ID not strictly decreasing over k={DESK_KS}: {mean_ids}"
@@ -89,15 +92,16 @@ def test_criterion_01_diversity_decreases_with_connectivity(f2_sweep):
 
 
 def test_criterion_02_global_network_shatters_faster(f2_sweep):
-    results, _ = f2_sweep
+    out, records, _ = f2_sweep
 
     def mean_area(kind):
         areas = []
-        for r in results:
+        for r in records:
             if r.topology_kind is kind:
-                t_eval = min(1000, len(r.log))
+                log = io.read_interaction_log(out / r.cell_dir / "log.csv")
+                t_eval = min(1000, len(log))
                 t_w = min(100, t_eval)
-                net = build_network(r.log, t_eval, t_w)
+                net = build_network(log, t_eval, t_w)
                 areas.append(area_under_destruction(destruction_curve(net)))
         assert len(areas) == 10
         return float(np.mean(areas))
@@ -115,7 +119,7 @@ def test_criterion_02_global_network_shatters_faster(f2_sweep):
 
 
 def test_criterion_03_diversity_improvement_negatively_correlated(f6_sweep):
-    _, summaries = f6_sweep
+    _, _, summaries = f6_sweep
     mean_ids = [row.mean_id for row in summaries]
     mean_fds = [row.mean_fdelta for row in summaries]
     r = correlate(mean_ids, mean_fds)

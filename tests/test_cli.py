@@ -1,6 +1,7 @@
 """Config parsing, file round-trips, and CLI subcommand checks."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -48,6 +49,21 @@ def _python(args: list[str], **env_vars: str) -> str:
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _tree(out):
+    """Every file under out, by relative path, with its bytes."""
+    return {path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+_run_cell = experiment.run_cell
+
+
+def _run_cell_failing_at_global_1(config, spec, repetition, threads=1):
+    if spec.kind is TopologyKind.GLOBAL and repetition == 1:
+        raise InputError("global repetition 1 failed")
+    return _run_cell(config, spec, repetition, threads=threads)
 
 
 @pytest.fixture
@@ -323,10 +339,7 @@ class TestCliCommands:
             for item in settings:
                 args += ["--set", item]
             assert main(args) == 0
-            trees.append({
-                path.relative_to(out): path.read_bytes()
-                for path in sorted(out.rglob("*")) if path.is_file()
-            })
+            trees.append(_tree(out))
         assert len(trees[0]) == 7
         assert trees[0] == trees[1]
         assert set(splits) == {2}
@@ -344,6 +357,51 @@ class TestCliCommands:
         assert main(["sweep", "--config", str(tiny_config),
                      "--out", str(tmp_path / "out")]) == 0
         assert workers == [2]
+
+    def test_sweep_verbose_logs_each_cell_in_map_order(self, tiny_config, tmp_path,
+                                                        capsys, caplog):
+        caplog.set_level(logging.INFO)
+        argv = ["sweep", "--jobs", "2", "--config", str(tiny_config),
+                "--set", "topologies=global,ring", "--set", "repetitions=3"]
+        assert main([*argv, "--out", str(tmp_path / "quiet")]) == 0
+        quiet = capsys.readouterr().out.replace(str(tmp_path / "quiet"), "OUT")
+        caplog.clear()
+        assert main([*argv, "-v", "--out", str(tmp_path / "loud")]) == 0
+        loud = capsys.readouterr().out.replace(str(tmp_path / "loud"), "OUT")
+        progress = [(r.levelno, r.getMessage()) for r in caplog.records
+                    if r.name == "swarmnet.experiment"]
+        assert progress == [
+            (logging.INFO, f"cell {label} rep {rep} written ({done} of 6)")
+            for done, (label, rep) in enumerate(
+                [(lb, r) for lb in ("global_7", "ring_2") for r in range(3)], start=1)
+        ]
+        assert loud == quiet
+        assert _tree(tmp_path / "loud") == _tree(tmp_path / "quiet")
+
+    def test_failed_sweep_keeps_finished_cells(self, tiny_config, tmp_path, monkeypatch):
+        argv = ["sweep", "--jobs", "2", "--config", str(tiny_config),
+                "--set", "topologies=ring,global", "--set", "repetitions=3"]
+        clean = tmp_path / "clean"
+        assert main([*argv, "--out", str(clean)]) == 0
+        # Forked workers inherit the patched module global.
+        monkeypatch.setattr(experiment, "run_cell", _run_cell_failing_at_global_1)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        partial = _tree(out)
+        cells = {path.parent for path in partial}
+        # Map order yields global rep 1's failure only after every earlier
+        # cell has finished; global rep 2 may have run beside it.
+        finished = {Path("sphere", label, f"rep_{rep}")
+                    for label, rep in [("ring_2", 0), ("ring_2", 1),
+                                       ("ring_2", 2), ("global_7", 0)]}
+        assert finished <= cells <= finished | {Path("sphere/global_7/rep_2")}
+        expected = _tree(clean)
+        assert partial == {cell / name: expected[cell / name] for cell in cells
+                           for name in ("log.csv", "trace.csv", "diversity.csv")}
+        analyzed = tmp_path / "analyzed"
+        assert main(["analyze", str(out), "--config", str(tiny_config),
+                     "--out", str(analyzed)]) == 0
+        assert {path.parent for path in _tree(analyzed)} == cells
 
     def test_analyze_reproduces_online_series(self, tiny_config, tmp_path):
         run_out = tmp_path / "run"

@@ -31,6 +31,12 @@ from swarmnet.pso import PsoParams
 from swarmnet.topology import TopologyKind
 
 
+def _tree(out):
+    """Every file under out, by relative path, with its bytes."""
+    return {path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
 def _config(**overrides):
     base = dict(
         objective=ObjectiveSpec(FunctionId.SPHERE, dimension=3),
@@ -111,7 +117,7 @@ class TestRunCell:
         assert result.k == 7
         assert result.label == "global_7"
 
-    def test_sphere_control_converges_on_global(self):
+    def test_sphere_control_converges_on_global(self, tmp_path):
         cfg = _config(
             objective=ObjectiveSpec(FunctionId.SPHERE, dimension=2),
             topologies=(TopologySpec(TopologyKind.GLOBAL),),
@@ -121,20 +127,17 @@ class TestRunCell:
             id_sample_stride=500,
             base_seed=0,
         )
-        _, summaries = run_sweep(cfg)
+        _, summaries = run_sweep(cfg, tmp_path)
         assert summaries[0].converged_fraction == 1.0
 
 
 class TestSummarize:
     def _results(self, mean_ids):
         cfg = _config(repetitions=len(mean_ids))
-        results = []
-        for rep in range(len(mean_ids)):
-            result = run_cell(cfg, cfg.topologies[0], rep)
-            object.__setattr__(result, "id_values",
-                               np.array([mean_ids[rep]]))
-            results.append(result)
-        return results
+        return [
+            run_cell(cfg, cfg.topologies[0], rep).record()._replace(mean_id=mean_id)
+            for rep, mean_id in enumerate(mean_ids)
+        ]
 
     def test_zero_variance_interval(self):
         row = summarize(self._results([0.3, 0.3, 0.3]))
@@ -168,8 +171,8 @@ class TestSummarize:
             TopologySpec(TopologyKind.RING),
             TopologySpec(TopologyKind.GLOBAL),
         ))
-        a = run_cell(cfg, cfg.topologies[0], 0)
-        b = run_cell(cfg, cfg.topologies[1], 0)
+        a = run_cell(cfg, cfg.topologies[0], 0).record()
+        b = run_cell(cfg, cfg.topologies[1], 0).record()
         with pytest.raises(InputError):
             summarize([a, b])
 
@@ -295,58 +298,77 @@ def _failing_cell(config, spec, repetition, threads=1):
 
 
 class TestSweep:
-    def test_completeness_and_order(self):
+    def test_completeness_and_order(self, tmp_path):
         cfg = _config(topologies=(
             TopologySpec(TopologyKind.RING),
             TopologySpec(TopologyKind.GLOBAL),
         ), repetitions=3)
-        results, summaries = run_sweep(cfg)
-        assert len(results) == 6
-        assert [(r.label, r.repetition) for r in results] == [
+        records, summaries = run_sweep(cfg, tmp_path)
+        assert len(records) == 6
+        assert [(r.label, r.repetition) for r in records] == [
             ("ring_2", 0), ("ring_2", 1), ("ring_2", 2),
             ("global_7", 0), ("global_7", 1), ("global_7", 2),
         ]
         assert len(summaries) == 2
         assert summaries[0].repetitions == 3
+        assert sorted(_tree(tmp_path)) == sorted(
+            Path(r.cell_dir) / name for r in records
+            for name in ("log.csv", "trace.csv", "diversity.csv")
+        )
 
-    def test_parallel_matches_serial(self):
+    def test_records_hold_the_written_cells_scalars(self, tmp_path):
+        cfg = _config(topologies=(TopologySpec(TopologyKind.GLOBAL),), repetitions=1)
+        (record,), _ = run_sweep(cfg, tmp_path, jobs=2)
+        result = run_cell(cfg, cfg.topologies[0], 0)
+        assert record == result.record()
+        cell = tmp_path / record.cell_dir
+        assert np.array_equal(io.read_interaction_log(cell / "log.csv").choices,
+                              result.log.choices)
+        _, values = io.read_diversity_series(cell / "diversity.csv")
+        _, f_g, f_d = io.read_run_trace(cell / "trace.csv")
+        assert (record.mean_id, record.final_fitness, record.mean_fdelta) == (
+            float(values.mean()), float(f_g[-1]), float(f_d.mean()))
+
+    def test_parallel_matches_serial(self, tmp_path):
         cfg = _config(repetitions=2)
-        serial_results, serial_summary = run_sweep(cfg, jobs=1)
-        parallel_results, parallel_summary = run_sweep(cfg, jobs=2)
+        serial_records, serial_summary = run_sweep(cfg, tmp_path / "serial", jobs=1)
+        parallel_records, parallel_summary = run_sweep(cfg, tmp_path / "parallel", jobs=2)
         assert serial_summary == parallel_summary
-        for a, b in zip(serial_results, parallel_results):
-            assert a.repetition == b.repetition
-            assert np.array_equal(a.id_values, b.id_values)
-            assert np.array_equal(a.trace.global_best_fitness,
-                                  b.trace.global_best_fitness)
+        assert serial_records == parallel_records
+        serial = _tree(tmp_path / "serial")
+        assert len(serial) == 6
+        assert serial == _tree(tmp_path / "parallel")
 
-    def test_jobs_below_one_rejected(self):
+    def test_jobs_below_one_rejected(self, tmp_path):
         for jobs in (0, -2):
             with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
-                run_sweep(_config(), jobs=jobs)
+                run_sweep(_config(), tmp_path / "out", jobs=jobs)
+            assert not (tmp_path / "out").exists()
 
-    def test_shared_seeds_across_topologies(self):
+    def test_shared_seeds_across_topologies(self, tmp_path):
         cfg = _config(topologies=(
             TopologySpec(TopologyKind.RING),
             TopologySpec(TopologyKind.GLOBAL),
         ))
-        results, _ = run_sweep(cfg)
+        records, _ = run_sweep(cfg, tmp_path)
         by_label = {}
-        for r in results:
+        for r in records:
             by_label.setdefault(r.label, []).append(r.rng_seed)
         assert by_label["ring_2"] == by_label["global_7"] == [5, 6]
 
     def test_failing_cell_stops_cells_not_yet_started(self, tmp_path, monkeypatch):
         # Forked workers inherit the patched module globals.
-        monkeypatch.setattr(sys.modules[__name__], "_STARTS", tmp_path)
+        starts = tmp_path / "starts"
+        starts.mkdir()
+        monkeypatch.setattr(sys.modules[__name__], "_STARTS", starts)
         monkeypatch.setattr(experiment, "run_cell", _failing_cell)
         cfg = _config(topologies=(
             TopologySpec(TopologyKind.RING),
             TopologySpec(TopologyKind.GLOBAL),
         ), repetitions=4)
         with pytest.raises(InputError, match="ring failed"):
-            run_sweep(cfg, jobs=2)
-        started = sorted(p.name for p in tmp_path.iterdir())
+            run_sweep(cfg, tmp_path / "out", jobs=2)
+        started = sorted(p.name for p in starts.iterdir())
         assert "ring_0" in started
         assert len(started) < 8, started
 
@@ -366,7 +388,7 @@ class TestSweep:
             TopologySpec(TopologyKind.RING),
             TopologySpec(TopologyKind.GLOBAL),
         ), repetitions=repetitions)
-        _, summaries = run_sweep(cfg)
+        _, summaries = run_sweep(cfg, tmp_path)
         path = tmp_path / "summary.csv"
         io.write_summary(path, summaries)
         assert io.read_summary(path) == summaries

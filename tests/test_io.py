@@ -11,6 +11,7 @@ import csv
 import re
 import tracemalloc
 from io import StringIO
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -464,6 +465,25 @@ def test_find_log_files_skips_files_that_are_not_text(tmp_path):
     (tmp_path / "log.csv").write_bytes(head + b"1,0,1\r\n1,1,\xff\r\n")
     # The log's header marks it as a log; its reader then names the bad byte.
     assert io.find_log_files(tmp_path) == [tmp_path / "log.csv"]
+
+
+def test_cell_write_cut_short_leaves_no_log(tmp_path, monkeypatch):
+    # As a worker killed inside its log write leaves it: part of the bytes,
+    # under the temporary name only.
+    write_log = io.write_interaction_log
+
+    def cut_short(path, log):
+        write_log(path, log)
+        with open(path, "r+b") as fh:
+            fh.truncate(40)
+        raise OSError("write cut short")
+
+    monkeypatch.setattr(io, "write_interaction_log", cut_short)
+    log = InteractionLog(np.array([[1, 0], [1, 0], [1, 0]]))
+    with pytest.raises(OSError, match="write cut short"):
+        io.write_cell(tmp_path / "cell", SimpleNamespace(log=log))
+    assert [p.name for p in tmp_path.rglob("*")] == ["cell", "log.csv" + io.PART_SUFFIX]
+    assert io.find_log_files(tmp_path) == []
 
 
 def test_find_log_files_takes_the_readers_header(tmp_path):
