@@ -3,9 +3,11 @@
 All subcommands share the same flags: `--config` points at a key=value
 file (defaults apply when omitted), `--set key=value` overrides single
 fields, `--seed` overrides the base seed, and `--out` names the output
-directory. Only `sweep` takes `--jobs`, which bounds its worker pool.
-Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
-failures.
+directory. Only `sweep` takes `--jobs`, which bounds its worker pool;
+`analyze` reads one log per forked worker, on as many workers as there
+are CPUs or logs, whichever is fewer, and writes after the last one.
+`-v` and `-vv` set the level of the `swarmnet` logger. Exit codes: 0 on
+success, 1 for configuration problems, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 from . import interaction, io
 from .config import load_config
 from .errors import ConfigurationError, SwarmnetError
-from .experiment import ExperimentConfig, available_cpus, run_cell, run_sweep
+from .experiment import ExperimentConfig, available_cpus, ordered_map, run_cell, run_sweep
 from .topology import label
 
 log = logging.getLogger("swarmnet")
@@ -142,9 +144,11 @@ def cmd_analyze(args) -> int:
                 f"{out / path.parent.relative_to(log_dir)}"
             )
     # Write nothing until every log is analyzed, so a bad log leaves no
-    # partial tree; only one log is held in memory at a time.
-    analyzed = [(path, *_analyze_log(path, config)) for path in files]
-    for path, (iters, values), rows in analyzed:
+    # partial tree; each worker holds one log at a time, and the first log
+    # in sorted order that fails is the error raised.
+    with ordered_map(min(available_cpus(), len(files))) as analyze:
+        analyzed = list(analyze(_analyze_log, files, [config] * len(files)))
+    for path, ((iters, values), rows) in zip(files, analyzed):
         dest = out / path.parent.relative_to(log_dir)
         dest.mkdir(parents=True, exist_ok=True)
         io.write_diversity_series(dest / "diversity.csv", iters, values)
@@ -176,8 +180,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # On the package's logger: basicConfig, which gives the records a
+    # handler, does nothing when the root logger already has one.
+    log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:

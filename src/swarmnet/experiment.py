@@ -192,6 +192,26 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def ordered_map(jobs: int):
+    """A `map` over `jobs` processes whose results come back in input order.
+
+    One job maps with the builtin `map`, in this process. More jobs map with
+    `ProcessPoolExecutor.map` over forked workers, whatever the platform's
+    default: they inherit the loaded modules, numpy.random among them. A
+    fork pool starts every worker at its first task, before its own thread,
+    so the caller must run no other thread then. The first task to fail, in
+    input order, raises where its result is read, and the tasks not yet
+    started are cancelled; the pool is shut down when the block ends.
+    """
+    if jobs == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool.map
+
+
 def run_cell(config: ExperimentConfig, spec: TopologySpec,
              repetition: int, threads: int = 1) -> CellResult:
     """Execute one seeded run and measure its diversity and improvement.
@@ -385,13 +405,7 @@ def run_sweep(config: ExperimentConfig, out, jobs: int = 1
     specs = [spec for spec in config.topologies for _ in range(reps)]
     repetitions = [rep for _ in config.topologies for rep in range(reps)]
     records = []
-    with contextlib.ExitStack() as stack:
-        cells = map
-        if jobs > 1:
-            # Forked workers, whatever the platform's default: they inherit
-            # the loaded modules, numpy.random among them.
-            cells = stack.enter_context(ProcessPoolExecutor(
-                max_workers=jobs, mp_context=multiprocessing.get_context("fork"))).map
+    with ordered_map(jobs) as cells:
         for record in cells(cell, specs, repetitions):
             records.append(record)
             log.info("cell %s rep %d written (%d of %d)", record.label,

@@ -73,6 +73,20 @@ def tiny_config(tmp_path):
     return path
 
 
+@pytest.fixture
+def root_logging_at_warning():
+    """Logging configured before `main` runs, as a program may do: the root
+    logger has handlers (pytest's), so `basicConfig` does nothing, and its
+    level is WARNING. Both levels `main` may change are put back after."""
+    root, package = logging.getLogger(), logging.getLogger("swarmnet")
+    levels = root.level, package.level
+    assert root.handlers
+    root.setLevel(logging.WARNING)
+    yield
+    root.setLevel(levels[0])
+    package.setLevel(levels[1])
+
+
 class TestConfigParsing:
     def test_empty_config_gives_paper_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -378,6 +392,21 @@ class TestCliCommands:
         assert loud == quiet
         assert _tree(tmp_path / "loud") == _tree(tmp_path / "quiet")
 
+    def test_verbose_holds_when_logging_is_already_configured(
+            self, tiny_config, tmp_path, caplog, root_logging_at_warning):
+        argv = ["--config", str(tiny_config), "--set", "topologies=global,ring", "-v"]
+        sweep, analyzed = tmp_path / "sweep", tmp_path / "analyzed"
+        assert main(["sweep", "--jobs", "2", *argv, "--out", str(sweep)]) == 0
+        assert main(["analyze", str(sweep), *argv, "--out", str(analyzed)]) == 0
+        cells = [(label, rep) for label in ("global_7", "ring_2") for rep in range(2)]
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, f"cell {label} rep {rep} written ({done} of 4)")
+            for done, (label, rep) in enumerate(cells, start=1)
+        ] + [
+            (logging.INFO, f"analyzed {sweep / cell / 'log.csv'} -> {analyzed / cell}")
+            for cell in (Path("sphere", label, f"rep_{rep}") for label, rep in cells)
+        ]
+
     def test_failed_sweep_keeps_finished_cells(self, tiny_config, tmp_path, monkeypatch):
         argv = ["sweep", "--jobs", "2", "--config", str(tiny_config),
                 "--set", "topologies=ring,global", "--set", "repetitions=3"]
@@ -468,6 +497,55 @@ class TestCliCommands:
         assert main(["analyze", str(logdir), "--set", "windows=1",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_analyze_tree_does_not_depend_on_worker_count(self, tmp_path, monkeypatch,
+                                                          caplog):
+        logdir = tmp_path / "logs"
+        names = [f"run{k}" for k in range(5)]
+        rng = np.random.default_rng(3)
+        for name in names:  # 30 iterations of 6 particles
+            choices = rng.integers(0, 5, size=(30, 6))
+            choices += choices >= np.arange(6)  # no particle selects itself
+            (logdir / name).mkdir(parents=True)
+            io.write_interaction_log(logdir / name / "log.csv", InteractionLog(choices))
+        workers = []
+        pool = experiment.ProcessPoolExecutor
+
+        def spy(max_workers, **kwargs):
+            workers.append(max_workers)
+            return pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", spy)
+        argv = ["analyze", str(logdir), "--set", "windows=2,5,40",
+                "--set", "id_sample_stride=3"]
+        trees = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "available_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main([*argv, "--out", str(out)]) == 0
+            trees.append(_tree(out))
+        assert workers == [3]
+        assert len(trees[0]) == 2 * len(names)
+        assert trees[0] == trees[1]
+
+        # Two bad logs, one in the middle of the sorted order: at either
+        # worker count, the earlier one is the error and nothing is written.
+        middle = logdir / "run2" / "log.csv"
+        middle.write_bytes(middle.read_bytes()[:-3])
+        last = logdir / "run4" / "log.csv"
+        last.write_bytes(last.read_bytes()[:-3])
+        messages = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "available_cpus", lambda cpus=cpus: cpus)
+            caplog.clear()
+            out = tmp_path / f"bad{cpus}"
+            assert main([*argv, "--out", str(out)]) == 2
+            assert not out.exists()
+            messages.append(caplog.messages)
+        assert workers == [3, 3]
+        assert len(messages[0]) == 1
+        assert messages[0][0].startswith(f"{middle}:181: ")  # its last line
+        assert messages[1] == messages[0]
 
     def test_analyze_refuses_a_log_with_lf_line_ends(self, tmp_path, caplog):
         # A log that opens with the header's text is found whatever its
