@@ -132,6 +132,30 @@ def test_reader_matches_oracle_on_corpus(tmp_path, name):
     assert _outcome(path) == _oracle_outcome(path)
 
 
+_LOADTXT = np.loadtxt
+
+
+def _loadtxt_via_float(fname, **kwargs):
+    """np.loadtxt as numpy before 2.4 read int64: a file with a field the
+    integer parser refuses is read as floats and truncated."""
+    try:
+        return _LOADTXT(fname, **kwargs)
+    except ValueError:
+        fname.seek(0)
+        with np.errstate(invalid="ignore"):
+            return _LOADTXT(fname, **{**kwargs, "dtype": np.float64}).astype(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_reader_matches_oracle_when_numpy_parses_ints_via_float(tmp_path, monkeypatch, name):
+    # The reader parses its own digits and calls no np.loadtxt; should one
+    # come back, older numpy, which turns "1.5" into 1 and 10**20 into
+    # garbage, must still change no outcome.
+    monkeypatch.setattr(io.np, "loadtxt", _loadtxt_via_float)
+    path = _write(tmp_path, name, CORPUS[name])
+    assert _outcome(path) == _oracle_outcome(path)
+
+
 # Chunks this small cut the body at nearly every line end, so every field
 # position within a chunk is tried.
 SMALL_CHUNKS = range(1, 17)
