@@ -78,14 +78,15 @@ def cmd_run(args) -> int:
     result = run_cell(config, config.topologies[0], repetition=0,
                       threads=available_cpus())
     io.write_cell(args.out, result)
+    record = result.record
     status = (
         f"converged at {result.trace.converged_at}"
-        if result.converged else "reached t_max"
+        if record.converged else "reached t_max"
     )
     print(
-        f"{result.function_id.value} {result.label}: "
-        f"final fitness {io.fmt(result.trace.final_fitness)}, "
-        f"mean ID {io.fmt(result.mean_id)}, {status} "
+        f"{record.function_id.value} {record.label}: "
+        f"final fitness {io.fmt(record.final_fitness)}, "
+        f"mean ID {io.fmt(record.mean_id)}, {status} "
         f"after {len(result.log)} iterations"
     )
     return 0
@@ -95,7 +96,7 @@ def cmd_sweep(args) -> int:
     config = _load(args)
     out = Path(args.out)
     _, summaries = run_sweep(config, out, jobs=args.jobs)
-    io.write_summary(out / "summary.csv", summaries)
+    io.write_replacing(out / "summary.csv", io.write_summary, summaries)
     for row in summaries:
         print(
             f"{row.function_id.value} {label(row.topology_kind, row.k)}: "
@@ -151,8 +152,9 @@ def cmd_analyze(args) -> int:
     for path, ((iters, values), rows) in zip(files, analyzed):
         dest = out / path.parent.relative_to(log_dir)
         dest.mkdir(parents=True, exist_ok=True)
-        io.write_diversity_series(dest / "diversity.csv", iters, values)
-        io.write_destruction_surface(dest / "destruction.csv", rows)
+        io.write_replacing(dest / "diversity.csv", io.write_diversity_series,
+                           iters, values)
+        io.write_replacing(dest / "destruction.csv", io.write_destruction_surface, rows)
         log.info("analyzed %s -> %s", path, dest)
     print(f"analyzed {len(files)} log(s) into {out}")
     return 0
@@ -163,9 +165,8 @@ def cmd_destruction(args) -> int:
     logf = io.read_interaction_log(args.logfile)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    io.write_destruction_surface(
-        out / "destruction.csv", _destruction_rows(logf, config.windows)
-    )
+    io.write_replacing(out / "destruction.csv", io.write_destruction_surface,
+                       _destruction_rows(logf, config.windows))
     print(f"destruction surface written to {out / 'destruction.csv'}")
     return 0
 

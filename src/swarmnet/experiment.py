@@ -90,51 +90,6 @@ class ExperimentConfig:
         return self.base_seed + repetition
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Everything measured in one (topology, repetition) run."""
-
-    function_id: FunctionId
-    topology_kind: topology.TopologyKind
-    k: int
-    repetition: int
-    rng_seed: int
-    trace: pso.RunTrace
-    log: pso.InteractionLog
-    id_iterations: np.ndarray
-    id_values: np.ndarray
-
-    @property
-    def mean_id(self) -> float:
-        return float(self.id_values.mean())
-
-    @property
-    def mean_fdelta(self) -> float:
-        return float(self.trace.fitness_improvement.mean())
-
-    @property
-    def converged(self) -> bool:
-        return self.trace.converged_at is not None
-
-    @property
-    def label(self) -> str:
-        return topology.label(self.topology_kind, self.k)
-
-    def record(self) -> CellRecord:
-        """The scalars of this cell that a sweep sends back."""
-        return CellRecord(
-            function_id=self.function_id,
-            topology_kind=self.topology_kind,
-            k=self.k,
-            repetition=self.repetition,
-            rng_seed=self.rng_seed,
-            mean_id=self.mean_id,
-            mean_fdelta=self.mean_fdelta,
-            final_fitness=float(self.trace.final_fitness),
-            converged=self.converged,
-        )
-
-
 class CellRecord(NamedTuple):
     """The scalars of one cell that a sweep sends back: what `summarize`
     reads, and where the cell's files are.
@@ -161,6 +116,18 @@ class CellRecord(NamedTuple):
     def cell_dir(self) -> str:
         """The cell's directory under a sweep's output directory."""
         return f"{self.function_id.value}/{self.label}/rep_{self.repetition}"
+
+
+@dataclass(frozen=True)
+class CellResult:
+    """Everything measured in one (topology, repetition) run: its scalars,
+    and the trace, log and ID series they come from."""
+
+    record: CellRecord
+    trace: pso.RunTrace
+    log: pso.InteractionLog
+    id_iterations: np.ndarray
+    id_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -229,17 +196,18 @@ def run_cell(config: ExperimentConfig, spec: TopologySpec,
     iters, values = interaction.diversity_series(
         log, config.windows, config.id_sample_stride
     )
-    return CellResult(
+    record = CellRecord(
         function_id=config.objective.function_id,
         topology_kind=graph.kind,
         k=graph.k,
         repetition=repetition,
         rng_seed=seed,
-        trace=trace,
-        log=log,
-        id_iterations=iters,
-        id_values=values,
+        mean_id=float(values.mean()),
+        mean_fdelta=float(trace.fitness_improvement.mean()),
+        final_fitness=float(trace.final_fitness),
+        converged=trace.converged_at is not None,
     )
+    return CellResult(record, trace, log, iters, values)
 
 
 # scipy.special.stdtrit(df, 0.975) for df = 1..100, as the repr of each
@@ -378,9 +346,8 @@ def _run_and_write_cell(config: ExperimentConfig, out: Path, threads: int,
     from . import io  # not at the top: io imports this module for SummaryRow
 
     result = run_cell(config, spec, repetition, threads=threads)
-    record = result.record()
-    io.write_cell(out / record.cell_dir, result)
-    return record
+    io.write_cell(out / result.record.cell_dir, result)
+    return result.record
 
 
 def run_sweep(config: ExperimentConfig, out, jobs: int = 1
@@ -393,8 +360,8 @@ def run_sweep(config: ExperimentConfig, out, jobs: int = 1
     its `CellRecord`; records come back, and are logged at INFO, in map
     order, whatever order the cells finish in. The first cell to fail stops
     the cells not yet started; the cells that finished keep their files.
-    Each of the `jobs` workers gives its cell an equal share of the
-    available CPUs as threads.
+    Cells are mapped over min(`jobs`, cells) workers, and each cell gets a
+    `jobs`-th share of the available CPUs as threads.
     """
     config.validate()
     if jobs < 1:
@@ -405,7 +372,7 @@ def run_sweep(config: ExperimentConfig, out, jobs: int = 1
     specs = [spec for spec in config.topologies for _ in range(reps)]
     repetitions = [rep for _ in config.topologies for rep in range(reps)]
     records = []
-    with ordered_map(jobs) as cells:
+    with ordered_map(min(jobs, len(specs))) as cells:
         for record in cells(cell, specs, repetitions):
             records.append(record)
             log.info("cell %s rep %d written (%d of %d)", record.label,

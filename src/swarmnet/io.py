@@ -34,7 +34,7 @@ from .topology import TopologyKind
 
 LOG_HEADER = ["iteration", "particle", "best_neighbor"]
 _LOG_HEAD = ",".join(LOG_HEADER).encode()
-# What a file is called until it is whole; see write_cell.
+# What a file is called until it is whole; see write_replacing.
 PART_SUFFIX = ".part"
 TRACE_HEADER = ["iteration", "global_best_fitness", "fitness_improvement"]
 DIVERSITY_HEADER = ["iteration", "id_value"]
@@ -83,7 +83,7 @@ def write_interaction_log(path, log: InteractionLog) -> None:
             fh.write(lead + lead.join([h + ends[b] for h, b in zip(heads, row)]))
 
 
-def _write_replacing(path: Path, write, *args) -> None:
+def write_replacing(path: Path, write, *args) -> None:
     """write(temporary path, *args), then the file renamed to path.
 
     The temporary name ends in PART_SUFFIX, not .csv, so a write cut short
@@ -99,10 +99,10 @@ def write_cell(cell_dir, result) -> None:
     result, in cell_dir, which is made if missing."""
     cell_dir = Path(cell_dir)
     cell_dir.mkdir(parents=True, exist_ok=True)
-    _write_replacing(cell_dir / "log.csv", write_interaction_log, result.log)
-    _write_replacing(cell_dir / "trace.csv", write_run_trace, result.trace)
-    _write_replacing(cell_dir / "diversity.csv", write_diversity_series,
-                     result.id_iterations, result.id_values)
+    write_replacing(cell_dir / "log.csv", write_interaction_log, result.log)
+    write_replacing(cell_dir / "trace.csv", write_run_trace, result.trace)
+    write_replacing(cell_dir / "diversity.csv", write_diversity_series,
+                    result.id_iterations, result.id_values)
 
 
 def _parse_error(path, line_no: int, detail: str) -> InputError:

@@ -12,7 +12,7 @@ import pytest
 
 import swarmnet
 from swarmnet import cli, experiment, io, pso
-from swarmnet.benchmarks import FunctionId
+from swarmnet.benchmarks import FunctionId, ObjectiveSpec
 from swarmnet.cli import main
 from swarmnet.config import (
     apply_overrides,
@@ -21,7 +21,7 @@ from swarmnet.config import (
     parse_config_file,
 )
 from swarmnet.errors import ConfigurationError, InputError
-from swarmnet.experiment import run_cell
+from swarmnet.experiment import ExperimentConfig, run_cell
 from swarmnet.interaction import interaction_diversity
 from swarmnet.pso import InteractionLog
 from swarmnet.topology import TopologyKind
@@ -74,6 +74,20 @@ def tiny_config(tmp_path):
 
 
 @pytest.fixture
+def pool_workers(monkeypatch):
+    """The max_workers of each process pool `ordered_map` builds."""
+    workers = []
+    pool = experiment.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", spy)
+    return workers
+
+
+@pytest.fixture
 def root_logging_at_warning():
     """Logging configured before `main` runs, as a program may do: the root
     logger has handlers (pytest's), so `basicConfig` does nothing, and its
@@ -102,6 +116,14 @@ class TestConfigParsing:
         assert cfg.repetitions == 30
         assert cfg.windows == (10, 25, 50, 75, 100)
         assert len(cfg.topologies) == 17
+
+    def test_defaults_equal_library_defaults(self):
+        # dataclass equality compares every field, the derived chi included
+        cfg = load_config()
+        assert cfg.params == pso.PsoParams()
+        assert cfg.objective == ObjectiveSpec(cfg.objective.function_id,
+                                              cfg.objective.dimension)
+        assert cfg == ExperimentConfig(cfg.objective, cfg.topologies, cfg.params)
 
     def test_no_file_means_defaults(self):
         cfg = load_config(None, ["dimension=10"])
@@ -358,19 +380,23 @@ class TestCliCommands:
         assert trees[0] == trees[1]
         assert set(splits) == {2}
 
-    def test_sweep_jobs_defaults_to_available_cpus(self, tiny_config, tmp_path, monkeypatch):
+    def test_sweep_jobs_defaults_to_available_cpus(self, tiny_config, tmp_path, monkeypatch,
+                                                   pool_workers):
         monkeypatch.setattr(cli, "available_cpus", lambda: 2)
-        workers = []
-        pool = experiment.ProcessPoolExecutor
-
-        def spy(max_workers, **kwargs):
-            workers.append(max_workers)
-            return pool(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", spy)
         assert main(["sweep", "--config", str(tiny_config),
                      "--out", str(tmp_path / "out")]) == 0
-        assert workers == [2]
+        assert pool_workers == [2]
+
+    def test_sweep_forks_at_most_one_worker_per_cell(self, tiny_config, tmp_path,
+                                                     pool_workers):
+        argv = ["sweep", "--config", str(tiny_config)]
+        # tiny_config holds 2 cells: a pool of 2 at --jobs 4
+        assert main([*argv, "--jobs", "4", "--out", str(tmp_path / "two")]) == 0
+        assert pool_workers == [2]
+        # 1 cell: no pool at all
+        assert main([*argv, "--jobs", "2", "--set", "repetitions=1",
+                     "--out", str(tmp_path / "one")]) == 0
+        assert pool_workers == [2]
 
     def test_sweep_verbose_logs_each_cell_in_map_order(self, tiny_config, tmp_path,
                                                         capsys, caplog):
@@ -498,8 +524,23 @@ class TestCliCommands:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_analyze_cut_write_leaves_no_output_file(self, tmp_path, monkeypatch):
+        def cut_short(path, curves):
+            Path(path).write_text("t_w,thresh")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(io, "write_destruction_surface", cut_short)
+        logdir = tmp_path / "logs"
+        logdir.mkdir()
+        io.write_interaction_log(logdir / "log.csv",
+                                 InteractionLog(np.array([[1, 0, 0], [2, 2, 1]])))
+        out = tmp_path / "out"
+        assert main(["analyze", str(logdir), "--set", "windows=1",
+                     "--out", str(out)]) == 2
+        assert not (out / "destruction.csv").exists()
+
     def test_analyze_tree_does_not_depend_on_worker_count(self, tmp_path, monkeypatch,
-                                                          caplog):
+                                                          caplog, pool_workers):
         logdir = tmp_path / "logs"
         names = [f"run{k}" for k in range(5)]
         rng = np.random.default_rng(3)
@@ -508,14 +549,6 @@ class TestCliCommands:
             choices += choices >= np.arange(6)  # no particle selects itself
             (logdir / name).mkdir(parents=True)
             io.write_interaction_log(logdir / name / "log.csv", InteractionLog(choices))
-        workers = []
-        pool = experiment.ProcessPoolExecutor
-
-        def spy(max_workers, **kwargs):
-            workers.append(max_workers)
-            return pool(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", spy)
         argv = ["analyze", str(logdir), "--set", "windows=2,5,40",
                 "--set", "id_sample_stride=3"]
         trees = []
@@ -524,7 +557,7 @@ class TestCliCommands:
             out = tmp_path / f"cpus{cpus}"
             assert main([*argv, "--out", str(out)]) == 0
             trees.append(_tree(out))
-        assert workers == [3]
+        assert pool_workers == [3]
         assert len(trees[0]) == 2 * len(names)
         assert trees[0] == trees[1]
 
@@ -542,7 +575,7 @@ class TestCliCommands:
             assert main([*argv, "--out", str(out)]) == 2
             assert not out.exists()
             messages.append(caplog.messages)
-        assert workers == [3, 3]
+        assert pool_workers == [3, 3]
         assert len(messages[0]) == 1
         assert messages[0][0].startswith(f"{middle}:181: ")  # its last line
         assert messages[1] == messages[0]

@@ -90,7 +90,7 @@ class TestRunCell:
         again = run_cell(cfg, spec, 1)
         first = run_cell(cfg, spec, 1)
         other = run_cell(cfg, spec, 0)
-        assert first.rng_seed == cfg.base_seed + 1
+        assert first.record.rng_seed == cfg.base_seed + 1
         assert np.array_equal(first.log.choices, again.log.choices)
         assert np.array_equal(first.trace.global_best_fitness,
                               again.trace.global_best_fitness)
@@ -114,8 +114,8 @@ class TestRunCell:
     def test_resolved_degree_recorded(self):
         cfg = _config(topologies=(TopologySpec(TopologyKind.GLOBAL),))
         result = run_cell(cfg, cfg.topologies[0], 0)
-        assert result.k == 7
-        assert result.label == "global_7"
+        assert result.record.k == 7
+        assert result.record.label == "global_7"
 
     def test_sphere_control_converges_on_global(self, tmp_path):
         cfg = _config(
@@ -135,7 +135,7 @@ class TestSummarize:
     def _results(self, mean_ids):
         cfg = _config(repetitions=len(mean_ids))
         return [
-            run_cell(cfg, cfg.topologies[0], rep).record()._replace(mean_id=mean_id)
+            run_cell(cfg, cfg.topologies[0], rep).record._replace(mean_id=mean_id)
             for rep, mean_id in enumerate(mean_ids)
         ]
 
@@ -171,8 +171,8 @@ class TestSummarize:
             TopologySpec(TopologyKind.RING),
             TopologySpec(TopologyKind.GLOBAL),
         ))
-        a = run_cell(cfg, cfg.topologies[0], 0).record()
-        b = run_cell(cfg, cfg.topologies[1], 0).record()
+        a = run_cell(cfg, cfg.topologies[0], 0).record
+        b = run_cell(cfg, cfg.topologies[1], 0).record
         with pytest.raises(InputError):
             summarize([a, b])
 
@@ -317,10 +317,11 @@ class TestSweep:
         )
 
     def test_records_hold_the_written_cells_scalars(self, tmp_path):
-        cfg = _config(topologies=(TopologySpec(TopologyKind.GLOBAL),), repetitions=1)
-        (record,), _ = run_sweep(cfg, tmp_path, jobs=2)
+        # two cells, so that the record comes back from a forked worker
+        cfg = _config(topologies=(TopologySpec(TopologyKind.GLOBAL),), repetitions=2)
+        (record, _), _ = run_sweep(cfg, tmp_path, jobs=2)
         result = run_cell(cfg, cfg.topologies[0], 0)
-        assert record == result.record()
+        assert record == result.record
         cell = tmp_path / record.cell_dir
         assert np.array_equal(io.read_interaction_log(cell / "log.csv").choices,
                               result.log.choices)
