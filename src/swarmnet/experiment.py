@@ -360,19 +360,20 @@ def run_sweep(config: ExperimentConfig, out, jobs: int = 1
     its `CellRecord`; records come back, and are logged at INFO, in map
     order, whatever order the cells finish in. The first cell to fail stops
     the cells not yet started; the cells that finished keep their files.
-    Cells are mapped over min(`jobs`, cells) workers, and each cell gets a
-    `jobs`-th share of the available CPUs as threads.
+    Cells are mapped over min(`jobs`, cells) workers, and each worker runs
+    its cells on an equal share of the available CPUs as threads.
     """
     config.validate()
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    cell = functools.partial(_run_and_write_cell, config, Path(out),
-                             max(1, available_cpus() // jobs))
     reps = config.repetitions
     specs = [spec for spec in config.topologies for _ in range(reps)]
     repetitions = [rep for _ in config.topologies for rep in range(reps)]
+    workers = min(jobs, len(specs))
+    cell = functools.partial(_run_and_write_cell, config, Path(out),
+                             max(1, available_cpus() // workers))
     records = []
-    with ordered_map(min(jobs, len(specs))) as cells:
+    with ordered_map(workers) as cells:
         for record in cells(cell, specs, repetitions):
             records.append(record)
             log.info("cell %s rep %d written (%d of %d)", record.label,

@@ -87,11 +87,15 @@ def write_replacing(path: Path, write, *args) -> None:
     """write(temporary path, *args), then the file renamed to path.
 
     The temporary name ends in PART_SUFFIX, not .csv, so a write cut short
-    leaves no file that find_log_files or a reader of path would take.
+    leaves no file that find_log_files or a reader of path would take, and
+    a write that raises leaves none at all.
     """
     part = path.with_name(path.name + PART_SUFFIX)
-    write(part, *args)
-    os.replace(part, path)
+    try:
+        write(part, *args)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def write_cell(cell_dir, result) -> None:

@@ -22,19 +22,21 @@ on them at once. This cannot change a single bit of the result because
 every operation split this way is row-local: a row's new velocity,
 position and fitness depend only on that row's inputs, in the same
 evaluation order as the whole-swarm expression. Each block draws its
-own rows of the step's uniforms from the same stream: its generator takes
-the run generator's state at the start of the step's draw and skips the
-draws of every row before the block, so the blocks together draw exactly
-what one whole draw would. No BLAS call (the rotations of F6 and F14) is
-ever split, since BLAS does not promise the same per-row result for
-different row counts.
+own rows of the step's uniforms from the same stream: the first block
+draws from the run generator, every other from a copy of it placed once,
+when the run starts, at the block's first row. After its rows of a step,
+each generator skips the other blocks' rows, so the blocks together draw
+exactly what one whole draw would. No BLAS call (the rotations of F6 and
+F14) is ever split, since BLAS does not promise the same per-row result
+for different row counts.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -56,11 +58,11 @@ def constriction_factor(c1: float, c2: float) -> float:
 
 @dataclass
 class PsoParams:
-    """Run parameters; ``chi`` is derived from (c1, c2) when left None."""
+    """Run parameters; ``chi`` is derived from (c1, c2)."""
 
     c1: float = 2.05
     c2: float = 2.05
-    chi: float | None = None
+    chi: float = field(init=False)
     swarm_size: int = 100
     t_max: int = 10000
     epsilon: float = 1e-5
@@ -68,15 +70,12 @@ class PsoParams:
     rng_seed: int = 1
 
     def __post_init__(self):
-        if self.chi is None:
-            try:
-                self.chi = constriction_factor(self.c1, self.c2)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from exc
+        try:
+            self.chi = constriction_factor(self.c1, self.c2)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
     def validate(self) -> None:
-        if not 0.0 < self.chi <= 1.0:
-            raise ConfigurationError(f"chi must be in (0, 1], got {self.chi}")
         if self.swarm_size < 3:
             raise ConfigurationError(f"swarm_size must be >= 3, got {self.swarm_size}")
         if self.t_max < 1:
@@ -171,24 +170,29 @@ _THREAD_FLOOR = 1 << 16
 
 class _Workspace:
     """Buffers one run's steps reuse, built for its params, and the row
-    blocks that share them.
+    blocks that share them, each with its own generator.
 
     u holds a step's draw, then c1*r1 and c2*r2, then the objective's
     scratch; nbest holds pbest - x, then nbest - x.
     """
 
-    def __init__(self, params: PsoParams, d: int, blocks: int = 1, pool=None):
+    def __init__(self, params: PsoParams, d: int, rng: np.random.Generator,
+                 blocks: int = 1, pool=None):
         n = params.swarm_size
         self.u = np.empty((n, d, 2))
         # a row of u's (r1, r2) pairs times this is its (c1*r1, c2*r2) pairs
         self.c = np.tile([params.c1, params.c2], d)
+        self.chi = params.chi
         self.nbest = np.empty((n, d))
         self.bounds = [(n * j // blocks, n * (j + 1) // blocks) for j in range(blocks)]
         self.pool = pool
-        # Each block's generator, keyed by its first row; built once, since
-        # PCG64() seeds itself from the OS.
-        self.gens = {lo: np.random.Generator(np.random.PCG64())
-                     for lo, _ in self.bounds} if blocks > 1 else {}
+        # Each block's generator, keyed by its first row: the first block
+        # draws from rng itself, every other from a copy moved past the
+        # rows before its own.
+        self.gens = {0: rng}
+        for lo, _ in self.bounds[1:]:
+            self.gens[lo] = copy.deepcopy(rng)
+            self.gens[lo].bit_generator.advance(self.u[:lo].size)
 
     def rows(self, fn) -> None:
         """Call fn(lo, hi) on every row block, the first on this thread,
@@ -203,37 +207,24 @@ class _Workspace:
             future.result()
 
 
-def _start_draw(rng: np.random.Generator, work: _Workspace) -> dict | None:
-    """Draw work.u whole on a single block and return None. Otherwise move
-    rng past the draw and return its state at the start, for `_draw_rows`."""
-    if not work.gens:
-        rng.random(out=work.u)
-        return None
-    state = rng.bit_generator.state
-    rng.bit_generator.advance(work.u.size)
-    return state
+def _draw_rows(work: _Workspace, lo: int, hi: int) -> None:
+    """Rows lo..hi of the step's draw, from the block's own generator, which
+    then skips the other blocks' rows to reach its rows of the next step:
+    each row takes 2*d doubles, one 64-bit output each."""
+    rows, gen = work.u[lo:hi], work.gens[lo]
+    gen.random(out=rows)
+    gen.bit_generator.advance(work.u.size - rows.size)
 
 
-def _draw_rows(work: _Workspace, state: dict, lo: int, hi: int) -> None:
-    """Rows lo..hi of the draw that starts at `state`, from the block's own
-    generator: each row takes 2*d doubles, one 64-bit output each."""
-    gen = work.gens[lo]
-    gen.bit_generator.state = state
-    gen.bit_generator.advance(lo * work.u[0].size)
-    gen.random(out=work.u[lo:hi])
-
-
-def _move_rows(swarm: Swarm, params: PsoParams, choices: np.ndarray,
-               work: _Workspace, state: dict | None, lo: int, hi: int) -> None:
-    """Draw rows lo..hi (unless the step drew whole), then update their
-    velocity and position in place.
+def _move_rows(swarm: Swarm, choices: np.ndarray, work: _Workspace,
+               lo: int, hi: int) -> None:
+    """Draw rows lo..hi, then update their velocity and position in place.
 
     The result has the bits of chi * (v + c1*r1*(pbest - x) +
     c2*r2*(nbest - x)): IEEE multiplication commutes, so (pbest - x) *
     (c1*r1) is the same number, and the additions into v keep their order.
     """
-    if state is not None:
-        _draw_rows(work, state, lo, hi)
+    _draw_rows(work, lo, hi)
     x = swarm.positions[lo:hi]
     v = swarm.velocities[lo:hi]
     u = work.u[lo:hi].reshape(hi - lo, work.c.size)
@@ -248,12 +239,11 @@ def _move_rows(swarm: Swarm, params: PsoParams, choices: np.ndarray,
     diff -= x
     diff *= c2r2
     v += diff
-    v *= params.chi
+    v *= work.chi
     x += v
 
 
-def step(swarm: Swarm, g: topo.TopologyGraph, params: PsoParams,
-         objective, rng: np.random.Generator,
+def step(swarm: Swarm, g: topo.TopologyGraph, objective,
          work: _Workspace) -> tuple[np.ndarray, float]:
     """Advance the swarm one iteration in place, in the buffers and row
     blocks of the run's workspace.
@@ -262,8 +252,7 @@ def step(swarm: Swarm, g: topo.TopologyGraph, params: PsoParams,
     on strict improvement only.
     """
     choices = _best_neighbors(swarm, g)
-    state = _start_draw(rng, work)
-    work.rows(partial(_move_rows, swarm, params, choices, work, state))
+    work.rows(partial(_move_rows, swarm, choices, work))
     fitness = objective.evaluate_many(swarm.positions, rows=work.rows,
                                       scratch=work.u)
     _check_finite(fitness)
@@ -318,10 +307,10 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams,
     # inherited without its threads by every process a sweep forks. It
     # starts no thread while there is a single block.
     with ThreadPoolExecutor(max_workers=max(1, blocks - 1)) as pool:
-        work = _Workspace(params, d, blocks, pool)
+        work = _Workspace(params, d, rng, blocks, pool)
         for t in range(1, params.t_max + 1):
             try:
-                choices, f_g = step(swarm, g, params, objective, rng, work)
+                choices, f_g = step(swarm, g, objective, work)
             except NonFiniteFitnessError as exc:
                 raise NonFiniteFitnessError(f"iteration {t}: {exc}") from exc
             f_delta = fitness_improvement(f_prev, f_g)

@@ -355,7 +355,8 @@ class TestCliCommands:
     def test_sweep_tree_does_not_depend_on_jobs(self, tmp_path, monkeypatch):
         # 100 particles at d=700 are above the size where a run splits its
         # rows over threads. With two CPUs, --jobs 1 gives each cell two
-        # threads and --jobs 2 gives each of the two workers one.
+        # threads and --jobs 2 gives each of the two workers one; a 1-cell
+        # sweep at --jobs 2 runs in this process, on both CPUs.
         monkeypatch.setattr(experiment, "available_cpus", lambda: 2)
         splits = []
         rows = pso._Workspace.rows
@@ -366,18 +367,24 @@ class TestCliCommands:
 
         monkeypatch.setattr(pso._Workspace, "rows", spy)
         settings = ["function=f2", "dimension=700", "swarm_size=100",
-                    "t_max=6", "topologies=ring", "repetitions=2",
-                    "windows=2,4", "id_sample_stride=3"]
+                    "t_max=6", "topologies=ring", "windows=2,4",
+                    "id_sample_stride=3"]
         trees = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            args = ["sweep", "--jobs", jobs, "--out", str(out)]
+        for jobs, reps in (("1", "2"), ("2", "2"), ("2", "1")):
+            out = tmp_path / f"jobs{jobs}_reps{reps}"
+            args = ["sweep", "--jobs", jobs, "--out", str(out),
+                    "--set", f"repetitions={reps}"]
             for item in settings:
                 args += ["--set", item]
             assert main(args) == 0
             trees.append(_tree(out))
         assert len(trees[0]) == 7
         assert trees[0] == trees[1]
+        # the 1-cell sweep's cell files are those of rep 0 above
+        summary = Path("summary.csv")
+        assert len(trees[2]) == 4 and summary in trees[2]
+        assert all(trees[0][path] == data for path, data in trees[2].items()
+                   if path != summary)
         assert set(splits) == {2}
 
     def test_sweep_jobs_defaults_to_available_cpus(self, tiny_config, tmp_path, monkeypatch,
@@ -538,6 +545,7 @@ class TestCliCommands:
         assert main(["analyze", str(logdir), "--set", "windows=1",
                      "--out", str(out)]) == 2
         assert not (out / "destruction.csv").exists()
+        assert not list(out.rglob(f"*{io.PART_SUFFIX}"))
 
     def test_analyze_tree_does_not_depend_on_worker_count(self, tmp_path, monkeypatch,
                                                           caplog, pool_workers):

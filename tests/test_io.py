@@ -8,7 +8,9 @@ same choices or the same error text.
 """
 
 import csv
+import os
 import re
+import signal
 import tracemalloc
 from io import StringIO
 from types import SimpleNamespace
@@ -468,21 +470,32 @@ def test_find_log_files_skips_files_that_are_not_text(tmp_path):
 
 
 def test_cell_write_cut_short_leaves_no_log(tmp_path, monkeypatch):
-    # As a worker killed inside its log write leaves it: part of the bytes,
-    # under the temporary name only.
+    # A log write that raises leaves no file. A worker killed inside it
+    # leaves part of the bytes, under the temporary name only.
     write_log = io.write_interaction_log
+    parent = os.getpid()
 
     def cut_short(path, log):
         write_log(path, log)
         with open(path, "r+b") as fh:
             fh.truncate(40)
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
         raise OSError("write cut short")
 
     monkeypatch.setattr(io, "write_interaction_log", cut_short)
     log = InteractionLog(np.array([[1, 0], [1, 0], [1, 0]]))
     with pytest.raises(OSError, match="write cut short"):
-        io.write_cell(tmp_path / "cell", SimpleNamespace(log=log))
-    assert [p.name for p in tmp_path.rglob("*")] == ["cell", "log.csv" + io.PART_SUFFIX]
+        io.write_cell(tmp_path / "raised", SimpleNamespace(log=log))
+    pid = os.fork()
+    if pid == 0:
+        try:
+            io.write_cell(tmp_path / "killed", SimpleNamespace(log=log))
+        finally:
+            os._exit(1)  # only if the kill never came
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == -signal.SIGKILL
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "killed", "killed/log.csv" + io.PART_SUFFIX, "raised"]
     assert io.find_log_files(tmp_path) == []
 
 

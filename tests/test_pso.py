@@ -20,7 +20,7 @@ from swarmnet.pso import (
     run,
     step,
 )
-from swarmnet.pso import _best_neighbors, _draw_rows, _start_draw, _Workspace
+from swarmnet.pso import _best_neighbors, _draw_rows, _Workspace
 from swarmnet.topology import TopologyKind, build_topology
 
 
@@ -47,12 +47,12 @@ class TestConstriction:
         with pytest.raises(ConfigurationError):
             PsoParams(c1=1.0, c2=1.0)
 
-    def test_explicit_chi_kept(self):
-        assert PsoParams(chi=0.9).chi == 0.9
+    def test_chi_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            PsoParams(chi=0.9)
 
     def test_validate_rejects_bad_fields(self):
         for kwargs in (
-            dict(chi=1.5),
             dict(swarm_size=2),
             dict(t_max=0),
             dict(epsilon=0.0),
@@ -124,7 +124,7 @@ class TestStep:
         ref_rng.uniform(*objective.bounds, (4, 3))
         draws = ref_rng.random((4, 3, 2))
 
-        choices, f_g = step(swarm, g, params, objective, rng, _Workspace(params, 3))
+        choices, f_g = step(swarm, g, objective, _Workspace(params, 3, rng))
 
         for i in range(4):
             nbrs = [int(v) for v in g.adjacency[i]]
@@ -162,7 +162,7 @@ class TestStep:
             min((int(v) for v in g.adjacency[i]), key=lambda j: (before[j], j))
             for i in range(4)
         ]
-        choices, _ = step(swarm, g, params, objective, rng, _Workspace(params, 2))
+        choices, _ = step(swarm, g, objective, _Workspace(params, 2, rng))
         assert list(choices) == expected
 
     def test_pbest_updates_only_on_strict_improvement(self):
@@ -178,8 +178,8 @@ class TestStep:
         rng = np.random.default_rng(5)
         swarm = initialize_swarm(objective, params, rng)
         initial_pbest = swarm.pbest.copy()
-        step(swarm, build_topology(TopologyKind.RING, 4), params, objective, rng,
-             _Workspace(params, 2))
+        step(swarm, build_topology(TopologyKind.RING, 4), objective,
+             _Workspace(params, 2, rng))
         assert np.array_equal(swarm.pbest, initial_pbest)
         assert np.all(swarm.pbest_fitness == 3.0)
 
@@ -208,9 +208,9 @@ class TestBufferOwnership:
         rng = np.random.default_rng(4)
         swarm = initialize_swarm(objective, params, rng)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            work = _Workspace(params, 5, blocks, pool)
+            work = _Workspace(params, 5, rng, blocks, pool)
             for _ in range(4):
-                step(swarm, g, params, objective, rng, work)
+                step(swarm, g, objective, work)
         arrays = {
             "positions": swarm.positions,
             "velocities": swarm.velocities,
@@ -225,22 +225,22 @@ class TestBufferOwnership:
 
 class TestBlockDraw:
     @pytest.mark.parametrize("n,d,blocks", [(7, 1, 3), (7, 5, 2), (12, 10, 3),
-                                            (100, 7, 2)])
+                                            (100, 7, 2), (100, 7, 3)])
     def test_block_draws_are_the_serial_draw(self, n, d, blocks):
         rng = np.random.default_rng(21)
         serial = np.random.default_rng(21)
         with ThreadPoolExecutor(max_workers=blocks - 1) as pool:
-            work = _Workspace(PsoParams(swarm_size=n), d, blocks, pool)
-            for _ in range(2):  # the second draw starts where the first ended
-                state = _start_draw(rng, work)
-                work.rows(partial(_draw_rows, work, state))
+            work = _Workspace(PsoParams(swarm_size=n), d, rng, blocks, pool)
+            for _ in range(3):  # each draw starts where the one before ended
+                work.rows(partial(_draw_rows, work))
                 assert work.u.tobytes() == serial.random((n, d, 2)).tobytes()
         assert rng.random(9).tobytes() == serial.random(9).tobytes()
 
     def test_single_block_draws_from_the_run_generator(self):
         rng = np.random.default_rng(21)
-        work = _Workspace(PsoParams(swarm_size=7), 5)
-        assert _start_draw(rng, work) is None and not work.gens
+        work = _Workspace(PsoParams(swarm_size=7), 5, rng)
+        assert list(work.gens) == [0] and work.gens[0] is rng
+        _draw_rows(work, 0, 7)
         assert work.u.tobytes() == np.random.default_rng(21).random((7, 5, 2)).tobytes()
 
 
