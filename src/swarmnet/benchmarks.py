@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -96,14 +97,13 @@ def _elliptic(z: np.ndarray) -> np.ndarray:
     return np.sum(weights * z * z, axis=1)
 
 
-# Row-local objectives write f(xs) into out, one row at a time, with tmp,
-# two arrays of xs's shape, as their only scratch.
-def _sphere_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray,
+# Row-local objectives, bound to their shift by Objective.row_kernel.
+def _sphere_rows(shift: np.ndarray, xs: np.ndarray, out: np.ndarray,
                  tmp: np.ndarray) -> None:
     np.sum(np.multiply(xs, xs, out=tmp[0]), axis=1, out=out)
 
 
-def _rastrigin_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray,
+def _rastrigin_rows(shift: np.ndarray, xs: np.ndarray, out: np.ndarray,
                     tmp: np.ndarray) -> None:
     # z*z - 10*cos(2*pi*z) + 10, in that order.
     z = np.subtract(xs, shift, out=tmp[0])
@@ -116,7 +116,7 @@ def _rastrigin_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray,
     np.sum(z, axis=1, out=out)
 
 
-def _schwefel_1_2_rows(xs: np.ndarray, shift: np.ndarray, out: np.ndarray,
+def _schwefel_1_2_rows(shift: np.ndarray, xs: np.ndarray, out: np.ndarray,
                        tmp: np.ndarray) -> None:
     z = np.subtract(xs, shift, out=tmp[0])
     np.cumsum(z, axis=1, out=z)
@@ -158,16 +158,23 @@ class Objective:
     def bounds(self) -> tuple[float, float]:
         return BOUNDS[self.spec.function_id]
 
-    def evaluate_many(self, xs, rows=None, scratch=None) -> np.ndarray:
+    @property
+    def row_kernel(self):
+        """kernel(xs, out, tmp) writes f of each row of xs into out, using
+        tmp, two arrays of xs's shape, as its only scratch; a row's value
+        does not depend on the other rows, so any split of the rows gives
+        the same bits. None for F6 and F14, whose rotations are matrix
+        products over all rows.
+        """
+        kernel = _ROW_LOCAL.get(self.spec.function_id)
+        return None if kernel is None else partial(kernel, self.shift)
+
+    def evaluate_many(self, xs) -> np.ndarray:
         """Evaluate a batch of row vectors; returns one fitness per row.
 
-        f(x) >= 0 everywhere, with f(shift) = 0. `rows`, when given, runs
-        fn(lo, hi) over row blocks that cover xs and may run them at once;
-        the row-local functions (sphere, F2, F19) then work block by block.
-        `scratch`, when given, is a C-contiguous array with one row of 2*d
-        floats per row of xs, which those functions overwrite instead of
-        allocating their own. F6 and F14 ignore both: their rotations stay
-        one matrix product over all rows. The result is the same either way.
+        f(x) >= 0 everywhere, with f(shift) = 0. Sphere, F2 and F19 run
+        `row_kernel` over all rows in fresh scratch; F6 and F14 compute
+        each rotation as one matrix product over all rows.
         """
         spec = self.spec
         xs = np.asarray(xs, dtype=float)
@@ -175,21 +182,12 @@ class Objective:
             raise InputError(
                 f"expected points of dimension {spec.dimension}, got shape {xs.shape}"
             )
-        fid = spec.function_id
-        kernel = _ROW_LOCAL.get(fid)
+        kernel = self.row_kernel
         if kernel is not None:
             out = np.empty(len(xs))
-
-            def block(lo: int, hi: int) -> None:
-                shape = (2, hi - lo, spec.dimension)
-                tmp = np.empty(shape) if scratch is None else scratch[lo:hi].reshape(shape)
-                kernel(xs[lo:hi], self.shift, out[lo:hi], tmp)
-
-            if rows is None:
-                block(0, len(xs))
-            else:
-                rows(block)
+            kernel(xs, out, np.empty((2, *xs.shape)))
             return out
+        fid = spec.function_id
         z = xs - self.shift
         zp = z[:, self.permutation]
         m = spec.group_size

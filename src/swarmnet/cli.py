@@ -5,9 +5,10 @@ file (defaults apply when omitted), `--set key=value` overrides single
 fields, `--seed` overrides the base seed, and `--out` names the output
 directory. Only `sweep` takes `--jobs`, which bounds its worker pool;
 `analyze` reads one log per forked worker, on as many workers as there
-are CPUs or logs, whichever is fewer, and writes after the last one.
-`-v` and `-vv` set the level of the `swarmnet` logger. Exit codes: 0 on
-success, 1 for configuration problems, 2 for runtime failures.
+are CPUs or logs, whichever is fewer, and after the last one writes
+all of its outputs or none. `-v` and `-vv` set the level of the
+`swarmnet` logger. Exit codes: 0 on success, 1 for configuration
+problems, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -146,15 +147,19 @@ def cmd_analyze(args) -> int:
             )
     # Write nothing until every log is analyzed, so a bad log leaves no
     # partial tree; each worker holds one log at a time, and the first log
-    # in sorted order that fails is the error raised.
+    # in sorted order that fails is the error raised. Then every file is
+    # written before any is renamed into place, so a failed write leaves
+    # none of them either.
     with ordered_map(min(available_cpus(), len(files))) as analyze:
         analyzed = list(analyze(_analyze_log, files, [config] * len(files)))
-    for path, ((iters, values), rows) in zip(files, analyzed):
-        dest = out / path.parent.relative_to(log_dir)
+    dests = [out / path.parent.relative_to(log_dir) for path in files]
+    outputs = []
+    for dest, ((iters, values), rows) in zip(dests, analyzed):
         dest.mkdir(parents=True, exist_ok=True)
-        io.write_replacing(dest / "diversity.csv", io.write_diversity_series,
-                           iters, values)
-        io.write_replacing(dest / "destruction.csv", io.write_destruction_surface, rows)
+        outputs += [(dest / "diversity.csv", io.write_diversity_series, iters, values),
+                    (dest / "destruction.csv", io.write_destruction_surface, rows)]
+    io.write_all_replacing(outputs)
+    for path, dest in zip(files, dests):
         log.info("analyzed %s -> %s", path, dest)
     print(f"analyzed {len(files)} log(s) into {out}")
     return 0

@@ -34,7 +34,7 @@ from .topology import TopologyKind
 
 LOG_HEADER = ["iteration", "particle", "best_neighbor"]
 _LOG_HEAD = ",".join(LOG_HEADER).encode()
-# What a file is called until it is whole; see write_replacing.
+# What a file is called until it is whole; see write_all_replacing.
 PART_SUFFIX = ".part"
 TRACE_HEADER = ["iteration", "global_best_fitness", "fitness_improvement"]
 DIVERSITY_HEADER = ["iteration", "id_value"]
@@ -84,18 +84,29 @@ def write_interaction_log(path, log: InteractionLog) -> None:
 
 
 def write_replacing(path: Path, write, *args) -> None:
-    """write(temporary path, *args), then the file renamed to path.
+    """write(temporary path, *args), then the file renamed to path; see
+    write_all_replacing."""
+    write_all_replacing([(path, write, *args)])
 
-    The temporary name ends in PART_SUFFIX, not .csv, so a write cut short
+
+def write_all_replacing(files: list[tuple]) -> None:
+    """write(temporary path, *args) for each (path, write, *args) of files,
+    then, once all are written, each file renamed to its path.
+
+    The temporary names end in PART_SUFFIX, not .csv, so a write cut short
     leaves no file that find_log_files or a reader of path would take, and
-    a write that raises leaves none at all.
+    a write that raises leaves none at all and renames no file of the set.
     """
-    part = path.with_name(path.name + PART_SUFFIX)
+    parts = []
     try:
-        write(part, *args)
-        os.replace(part, path)
+        for path, write, *args in files:
+            parts.append(path.with_name(path.name + PART_SUFFIX))
+            write(parts[-1], *args)
+        for (path, *_), part in zip(files, parts):
+            os.replace(part, path)
     finally:
-        part.unlink(missing_ok=True)
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def write_cell(cell_dir, result) -> None:

@@ -17,18 +17,21 @@ dimension, r1-before-r2), so a (seed, config) pair fully determines every
 trace value.
 
 Row blocks: above a fixed size (`_THREAD_FLOOR` coordinates per step) a
-run splits the swarm into contiguous row blocks, one per thread, and works
-on them at once. This cannot change a single bit of the result because
-every operation split this way is row-local: a row's new velocity,
-position and fitness depend only on that row's inputs, in the same
-evaluation order as the whole-swarm expression. Each block draws its
-own rows of the step's uniforms from the same stream: the first block
-draws from the run generator, every other from a copy of it placed once,
-when the run starts, at the block's first row. After its rows of a step,
-each generator skips the other blocks' rows, so the blocks together draw
-exactly what one whole draw would. No BLAS call (the rotations of F6 and
-F14) is ever split, since BLAS does not promise the same per-row result
-for different row counts.
+run splits the swarm into contiguous row blocks, one per thread, and
+hands each block one task per step: draw the block's rows of the step's
+uniforms, move those rows, and, for the row-local objectives (sphere, F2,
+F19), evaluate them with the objective's row kernel. This cannot change a
+single bit of the result because every operation split this way is
+row-local: a row's new velocity, position and fitness depend only on that
+row's inputs, in the same evaluation order as the whole-swarm expression.
+Each block draws its rows from the same stream: the first block draws
+from the run generator, every other from a copy of it placed once, when
+the run starts, at the block's first row. After its rows of a step, each
+generator skips the other blocks' rows, so the blocks together draw
+exactly what one whole draw would. F6 and F14 are evaluated on the whole
+swarm once the blocks are done: no BLAS call (their rotations) is ever
+split, since BLAS does not promise the same per-row result for different
+row counts.
 """
 
 from __future__ import annotations
@@ -172,8 +175,9 @@ class _Workspace:
     """Buffers one run's steps reuse, built for its params, and the row
     blocks that share them, each with its own generator.
 
-    u holds a step's draw, then c1*r1 and c2*r2, then the objective's
-    scratch; nbest holds pbest - x, then nbest - x.
+    u holds a step's draw, then c1*r1 and c2*r2, then the row kernel's
+    scratch; nbest holds pbest - x, then nbest - x, then the positions of
+    the rows that improved; fitness holds the row kernel's values.
     """
 
     def __init__(self, params: PsoParams, d: int, rng: np.random.Generator,
@@ -184,6 +188,7 @@ class _Workspace:
         self.c = np.tile([params.c1, params.c2], d)
         self.chi = params.chi
         self.nbest = np.empty((n, d))
+        self.fitness = np.empty(n)
         self.bounds = [(n * j // blocks, n * (j + 1) // blocks) for j in range(blocks)]
         self.pool = pool
         # Each block's generator, keyed by its first row: the first block
@@ -216,9 +221,10 @@ def _draw_rows(work: _Workspace, lo: int, hi: int) -> None:
     gen.bit_generator.advance(work.u.size - rows.size)
 
 
-def _move_rows(swarm: Swarm, choices: np.ndarray, work: _Workspace,
+def _step_rows(swarm: Swarm, choices: np.ndarray, kernel, work: _Workspace,
                lo: int, hi: int) -> None:
-    """Draw rows lo..hi, then update their velocity and position in place.
+    """Draw rows lo..hi, update their velocity and position in place, and
+    write their fitness into work.fitness when there is a row kernel.
 
     The result has the bits of chi * (v + c1*r1*(pbest - x) +
     c2*r2*(nbest - x)): IEEE multiplication commutes, so (pbest - x) *
@@ -241,6 +247,8 @@ def _move_rows(swarm: Swarm, choices: np.ndarray, work: _Workspace,
     v += diff
     v *= work.chi
     x += v
+    if kernel is not None:
+        kernel(x, work.fitness[lo:hi], u.reshape(2, hi - lo, x.shape[1]))
 
 
 def step(swarm: Swarm, g: topo.TopologyGraph, objective,
@@ -249,16 +257,22 @@ def step(swarm: Swarm, g: topo.TopologyGraph, objective,
     blocks of the run's workspace.
 
     Returns (choice vector, new global best fitness). Personal bests update
-    on strict improvement only.
+    on strict improvement only, and not at all when a fitness is not
+    finite.
     """
     choices = _best_neighbors(swarm, g)
-    work.rows(partial(_move_rows, swarm, choices, work))
-    fitness = objective.evaluate_many(swarm.positions, rows=work.rows,
-                                      scratch=work.u)
+    kernel = objective.row_kernel
+    work.rows(partial(_step_rows, swarm, choices, kernel, work))
+    if kernel is None:
+        fitness = objective.evaluate_many(swarm.positions)
+    else:
+        fitness = work.fitness
     _check_finite(fitness)
-    improved = fitness < swarm.pbest_fitness
-    np.copyto(swarm.pbest, swarm.positions, where=improved[:, None])
-    np.copyto(swarm.pbest_fitness, fitness, where=improved)
+    improved = np.flatnonzero(fitness < swarm.pbest_fitness)
+    # "clip" for the same reason as in _step_rows
+    swarm.pbest[improved] = np.take(swarm.positions, improved, axis=0,
+                                    out=work.nbest[:improved.size], mode="clip")
+    swarm.pbest_fitness[improved] = fitness[improved]
     return choices, swarm.global_best_fitness()
 
 

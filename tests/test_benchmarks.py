@@ -202,25 +202,23 @@ class TestBatchEvaluation:
                     assert obj.evaluate_many(row[None])[0] == value
 
     def test_row_blocks_do_not_change_any_bit(self):
-        # A row-block runner may split the rows anywhere: sphere, F2 and F19
-        # are row-local, and F6 and F14 never split their matrix products.
-        # Neither does working in a caller's scratch instead of temporaries.
-        calls = []
-
-        def uneven_blocks(fn):
-            for lo, hi in ((0, 1), (1, 4), (4, 4), (4, 7)):
-                calls.append((lo, hi))
-                fn(lo, hi)
-
+        # The row kernel may run on the rows in any split, each block in its
+        # own rows of a caller's scratch instead of temporaries: sphere, F2
+        # and F19 are row-local. F6 and F14 have no row kernel, so their
+        # matrix products are never split.
         for fid in SHIFTED + [FunctionId.SPHERE]:
             obj = make_objective(_spec(fid, dimension=10, group_size=5))
+            kernel = obj.row_kernel
+            assert (kernel is None) == (fid in (FunctionId.F6, FunctionId.F14))
+            if kernel is None:
+                continue
             xs = np.random.default_rng(12).uniform(*obj.bounds, (7, 10))
             whole = obj.evaluate_many(xs)
-            calls.clear()
-            blocked = obj.evaluate_many(xs, rows=uneven_blocks)
+            blocked = np.full(7, np.nan)
+            scratch = np.full((7, 10, 2), np.nan)  # laid out as pso's draw
+            for lo, hi in ((0, 1), (1, 4), (4, 4), (4, 7)):
+                kernel(xs[lo:hi], blocked[lo:hi], scratch[lo:hi].reshape(2, hi - lo, 10))
+                # a block writes its own rows only
+                assert np.isnan(blocked[hi:]).all() and np.isnan(scratch[hi:]).all()
             assert blocked.tobytes() == whole.tobytes()
-            assert bool(calls) == (fid not in (FunctionId.F6, FunctionId.F14))
-            scratch = np.full((7, 10, 2), np.nan)
-            in_scratch = obj.evaluate_many(xs, rows=uneven_blocks, scratch=scratch)
-            assert in_scratch.tobytes() == whole.tobytes()
-            assert np.isnan(scratch).all() == (fid in (FunctionId.F6, FunctionId.F14))
+            assert not np.isnan(scratch).all()

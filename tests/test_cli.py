@@ -532,20 +532,29 @@ class TestCliCommands:
         assert not out.exists()
 
     def test_analyze_cut_write_leaves_no_output_file(self, tmp_path, monkeypatch):
-        def cut_short(path, curves):
+        # The second log's write fails part-way: the first log's files,
+        # written whole by then, are not renamed into place either.
+        write_destruction = io.write_destruction_surface
+        written = []
+
+        def second_cut_short(path, curves):
+            written.append(path)
+            if len(written) == 1:
+                return write_destruction(path, curves)
             Path(path).write_text("t_w,thresh")
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(io, "write_destruction_surface", cut_short)
+        monkeypatch.setattr(io, "write_destruction_surface", second_cut_short)
         logdir = tmp_path / "logs"
-        logdir.mkdir()
-        io.write_interaction_log(logdir / "log.csv",
-                                 InteractionLog(np.array([[1, 0, 0], [2, 2, 1]])))
+        for name in ("a", "b"):
+            (logdir / name).mkdir(parents=True)
+            io.write_interaction_log(logdir / name / "log.csv",
+                                     InteractionLog(np.array([[1, 0, 0], [2, 2, 1]])))
         out = tmp_path / "out"
         assert main(["analyze", str(logdir), "--set", "windows=1",
                      "--out", str(out)]) == 2
-        assert not (out / "destruction.csv").exists()
-        assert not list(out.rglob(f"*{io.PART_SUFFIX}"))
+        assert [p.parent.name for p in written] == ["a", "b"]
+        assert [p for p in out.rglob("*") if not p.is_dir()] == []
 
     def test_analyze_tree_does_not_depend_on_worker_count(self, tmp_path, monkeypatch,
                                                           caplog, pool_workers):

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from swarmnet.benchmarks import FunctionId, ObjectiveSpec, make_objective
+from swarmnet.benchmarks import FunctionId, Objective, ObjectiveSpec, make_objective
 from swarmnet.errors import ConfigurationError, NonFiniteFitnessError
 from swarmnet.pso import (
     PsoParams,
@@ -170,7 +170,9 @@ class TestStep:
             dimension = 2
             bounds = (-1.0, 1.0)
 
-            def evaluate_many(self, xs, rows=None, scratch=None):
+            row_kernel = None
+
+            def evaluate_many(self, xs):
                 return np.full(len(xs), 3.0)
 
         objective = Constant()
@@ -183,6 +185,118 @@ class TestStep:
         assert np.array_equal(swarm.pbest, initial_pbest)
         assert np.all(swarm.pbest_fitness == 3.0)
 
+    @pytest.mark.parametrize("fid", list(FunctionId))
+    def test_threaded_step_hands_out_its_blocks_once(self, fid, monkeypatch):
+        # Each block draws, moves and, under a row kernel, evaluates its own
+        # rows in one task; F6 and F14 are evaluated whole after the blocks.
+        objective = make_objective(ObjectiveSpec(fid, dimension=10, group_size=5))
+        g = build_topology(TopologyKind.RING, 7)
+        params = PsoParams(swarm_size=7)
+        rng = np.random.default_rng(6)
+        swarm = initialize_swarm(objective, params, rng)
+        handoffs, evaluated = [], []
+        rows, evaluate_many = _Workspace.rows, Objective.evaluate_many
+
+        def rows_spy(work, fn):
+            handoffs.append(len(work.bounds))
+            return rows(work, fn)
+
+        def evaluate_spy(obj, xs):
+            evaluated.append(len(xs))
+            return evaluate_many(obj, xs)
+
+        monkeypatch.setattr(_Workspace, "rows", rows_spy)
+        monkeypatch.setattr(Objective, "evaluate_many", evaluate_spy)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            step(swarm, g, objective, _Workspace(params, 10, rng, 3, pool))
+        assert handoffs == [3]
+        whole = fid in (FunctionId.F6, FunctionId.F14)
+        assert evaluated == ([7] if whole else [])
+
+    @pytest.mark.parametrize("row_local", [True, False])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_non_finite_step_leaves_personal_bests(self, row_local, blocks):
+        objective = _OneRowNonFinite(row_local)
+        params = PsoParams(swarm_size=7)
+        rng = np.random.default_rng(8)
+        swarm = initialize_swarm(objective, params, rng)
+        pbest, pbest_fitness = swarm.pbest.copy(), swarm.pbest_fitness.copy()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(NonFiniteFitnessError):
+                step(swarm, build_topology(TopologyKind.RING, 7), objective,
+                     _Workspace(params, 2, rng, blocks, pool))
+        assert swarm.pbest.tobytes() == pbest.tobytes()
+        assert swarm.pbest_fitness.tobytes() == pbest_fitness.tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("improving", [False, True])
+    def test_steps_allocate_less_than_one_swarm_array(self, blocks, improving):
+        # Every buffer a step needs is in the swarm or the workspace. With
+        # np.take's default mode="raise", which buffers out in a copy, the
+        # moves or the improved-row copy (every row, under _Improving)
+        # allocated a block's rows or all of pbest again.
+        n, d = 100, 1000
+        if improving:
+            objective = _Improving(d)
+        else:
+            objective = make_objective(ObjectiveSpec(FunctionId.F2, dimension=d))
+        g = build_topology(TopologyKind.RING, n)
+        params = PsoParams(swarm_size=n)
+        rng = np.random.default_rng(9)
+        swarm = initialize_swarm(objective, params, rng)
+        with ThreadPoolExecutor(max_workers=max(1, blocks - 1)) as pool:
+            work = _Workspace(params, d, rng, blocks, pool)
+            step(swarm, g, objective, work)  # starts the pool's thread
+            tracemalloc.start()
+            try:
+                for _ in range(10):
+                    if improving:
+                        objective.level -= 1.0
+                    step(swarm, g, objective, work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < n * d * 8
+
+
+class _OneRowNonFinite:
+    """Finite at initialization; afterwards every row improves, except the
+    last row of each evaluated block, which is NaN."""
+
+    dimension = 2
+    bounds = (-1.0, 1.0)
+
+    def __init__(self, row_local):
+        self.calls = 0
+        self.row_kernel = self._rows if row_local else None
+
+    def _rows(self, xs, out, tmp):
+        out.fill(-1.0)
+        out[-1:] = np.nan
+
+    def evaluate_many(self, xs):
+        self.calls += 1
+        out = np.ones(len(xs))
+        if self.calls > 1:
+            self._rows(xs, out, None)
+        return out
+
+
+class _Improving:
+    """Row-local; lowering `level` before a step makes every row improve."""
+
+    bounds = (-1.0, 1.0)
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self.level = 0.0
+
+    def evaluate_many(self, xs):
+        return np.full(len(xs), self.level)
+
+    def row_kernel(self, xs, out, tmp):
+        out.fill(self.level)
+
 
 class TestBufferOwnership:
     def test_initial_fitness_is_a_copy(self):
@@ -192,7 +306,9 @@ class TestBufferOwnership:
             dimension = 2
             bounds = (-1.0, 1.0)
 
-            def evaluate_many(self, xs, rows=None, scratch=None):
+            row_kernel = None
+
+            def evaluate_many(self, xs):
                 returned.append(np.sum(xs * xs, axis=1))
                 return returned[-1]
 
@@ -253,7 +369,9 @@ class _ExplodingObjective:
     def __init__(self):
         self.calls = 0
 
-    def evaluate_many(self, xs, rows=None, scratch=None):
+    row_kernel = None
+
+    def evaluate_many(self, xs):
         self.calls += 1
         if self.calls == 1:
             return np.ones(len(xs))
