@@ -100,7 +100,7 @@ def _elliptic(z: np.ndarray) -> np.ndarray:
 # Row-local objectives, bound to their shift by Objective.row_kernel.
 def _sphere_rows(shift: np.ndarray, xs: np.ndarray, out: np.ndarray,
                  tmp: np.ndarray) -> None:
-    np.sum(np.multiply(xs, xs, out=tmp[0]), axis=1, out=out)
+    np.add.reduce(np.multiply(xs, xs, out=tmp[0]), axis=1, out=out)
 
 
 def _rastrigin_rows(shift: np.ndarray, xs: np.ndarray, out: np.ndarray,
@@ -113,7 +113,7 @@ def _rastrigin_rows(shift: np.ndarray, xs: np.ndarray, out: np.ndarray,
     z *= z
     z -= c
     z += 10.0
-    np.sum(z, axis=1, out=out)
+    np.add.reduce(z, axis=1, out=out)
 
 
 def _schwefel_1_2_rows(shift: np.ndarray, xs: np.ndarray, out: np.ndarray,
@@ -121,7 +121,7 @@ def _schwefel_1_2_rows(shift: np.ndarray, xs: np.ndarray, out: np.ndarray,
     z = np.subtract(xs, shift, out=tmp[0])
     np.cumsum(z, axis=1, out=z)
     z *= z
-    np.sum(z, axis=1, out=out)
+    np.add.reduce(z, axis=1, out=out)
 
 
 _ROW_LOCAL = {

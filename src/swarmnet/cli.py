@@ -6,9 +6,10 @@ fields, `--seed` overrides the base seed, and `--out` names the output
 directory. Only `sweep` takes `--jobs`, which bounds its worker pool;
 `analyze` reads one log per forked worker, on as many workers as there
 are CPUs or logs, whichever is fewer, and after the last one writes
-all of its outputs or none. `-v` and `-vv` set the level of the
-`swarmnet` logger. Exit codes: 0 on success, 1 for configuration
-problems, 2 for runtime failures.
+all of its outputs or none; a failed write also removes the empty
+directories it made. `-v` and `-vv` set the level of the `swarmnet`
+logger. Exit codes: 0 on success, 1 for configuration problems, 2 for
+runtime failures.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 
 from . import interaction, io
@@ -155,10 +158,19 @@ def cmd_analyze(args) -> int:
     dests = [out / path.parent.relative_to(log_dir) for path in files]
     outputs = []
     for dest, ((iters, values), rows) in zip(dests, analyzed):
-        dest.mkdir(parents=True, exist_ok=True)
         outputs += [(dest / "diversity.csv", io.write_diversity_series, iters, values),
                     (dest / "destruction.csv", io.write_destruction_surface, rows)]
-    io.write_all_replacing(outputs)
+    made = []  # the directories made here, --out too if it was missing, parents first
+    try:
+        for dest in dests:
+            made += reversed(list(takewhile(lambda d: not d.exists(), (dest, *dest.parents))))
+            dest.mkdir(parents=True, exist_ok=True)
+        io.write_all_replacing(outputs)
+    except BaseException:
+        for directory in reversed(made):  # deepest first; one not empty stays
+            with suppress(OSError):
+                directory.rmdir()
+        raise
     for path, dest in zip(files, dests):
         log.info("analyzed %s -> %s", path, dest)
     print(f"analyzed {len(files)} log(s) into {out}")

@@ -45,11 +45,11 @@ rebuilds the vector from the window's rows. Both flat indices of every
 event are computed once per log, into a table with one row per
 iteration, and each step takes its entering, leaving or rebuilding rows
 as a slice of it. Each sample point's networks, one per distinct clipped
-window, are copied into a batch of at most 2 MB of weights, and each full
-batch goes through one forest pass. Table and batch are int32 whenever
-the flat indices and the weights fit in it, which holds for every swarm
-a dense n x n batch can hold, so one pass covers twice the networks an
-int64 batch would.
+window, are copied into a batch of at most 8 MiB of weights, and each full
+batch goes through one forest pass; the batch holds no more networks than
+the series has. Table and batch are int32 whenever the flat indices and
+the weights fit in it, which holds for every swarm a dense n x n batch
+can hold, so one pass covers twice the networks an int64 batch would.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class DiversityReport:
     id_value: float
 
 
-# bytes of weights per forest batch, whatever the swarm size or dtype
-_BATCH_BYTES = 2 << 20
+# most bytes of weights per forest batch, whatever the swarm size or dtype
+_BATCH_BYTES = 8 << 20
 
 
 def _index_dtype(n: int, t_w: int) -> np.dtype:
@@ -251,7 +251,10 @@ def diversity_series(log: InteractionLog, windows: tuple[int, ...],
     # counts[w] covers rows max(t - w, 0)..t-1, the window clipped at t;
     # they stay int64, where np.add.at takes its fast path
     counts = {w: np.zeros(n * n, dtype=np.int64) for w in set(windows)}
-    batch = np.empty((max(1, _BATCH_BYTES // (dtype.itemsize * n * n)), n, n), dtype=dtype)
+    # no more slots than the series has (point, distinct window) pairs: a
+    # large allocation gets huge pages, which a short series would not use
+    capacity = max(1, _BATCH_BYTES // (dtype.itemsize * n * n))
+    batch = np.empty((min(capacity, len(points) * len(counts)), n, n), dtype=dtype)
     # one slot per (point, distinct clipped window): its t_w, and for every
     # point the slot that each window's area comes from
     slot_t_w = []

@@ -140,8 +140,11 @@ class RunTrace:
 def _best_neighbors(swarm: Swarm, g: topo.TopologyGraph) -> np.ndarray:
     """Each particle's neighbor with minimal personal-best fitness; ties go
     to the smallest index. A particle's own pbest never competes."""
-    fits = swarm.pbest_fitness[g.adjacency]  # (n, k)
-    return g.adjacency[np.arange(g.n), np.argmin(fits, axis=1)]
+    adjacency = g.adjacency
+    # each row's position of its best, then that position in the flat (n, k)
+    best = swarm.pbest_fitness.take(adjacency).argmin(axis=1)
+    best += np.arange(0, adjacency.size, adjacency.shape[1])
+    return adjacency.take(best)
 
 
 def fitness_improvement(f_prev: float, f_curr: float) -> float:
@@ -156,7 +159,7 @@ def fitness_improvement(f_prev: float, f_curr: float) -> float:
 
 
 def _check_finite(fitness: np.ndarray) -> None:
-    if not np.all(np.isfinite(fitness)):
+    if not np.isfinite(fitness).all():
         bad = int(np.flatnonzero(~np.isfinite(fitness))[0])
         raise NonFiniteFitnessError(
             f"particle {bad} produced non-finite fitness {fitness[bad]!r}"
@@ -218,7 +221,8 @@ def _draw_rows(work: _Workspace, lo: int, hi: int) -> None:
     each row takes 2*d doubles, one 64-bit output each."""
     rows, gen = work.u[lo:hi], work.gens[lo]
     gen.random(out=rows)
-    gen.bit_generator.advance(work.u.size - rows.size)
+    if rows.size != work.u.size:
+        gen.bit_generator.advance(work.u.size - rows.size)
 
 
 def _step_rows(swarm: Swarm, choices: np.ndarray, kernel, work: _Workspace,
@@ -268,7 +272,7 @@ def step(swarm: Swarm, g: topo.TopologyGraph, objective,
     else:
         fitness = work.fitness
     _check_finite(fitness)
-    improved = np.flatnonzero(fitness < swarm.pbest_fitness)
+    improved = (fitness < swarm.pbest_fitness).nonzero()[0]
     # "clip" for the same reason as in _step_rows
     swarm.pbest[improved] = np.take(swarm.positions, improved, axis=0,
                                     out=work.nbest[:improved.size], mode="clip")

@@ -555,6 +555,16 @@ class TestCliCommands:
                      "--out", str(out)]) == 2
         assert [p.parent.name for p in written] == ["a", "b"]
         assert [p for p in out.rglob("*") if not p.is_dir()] == []
+        # nor the directories it made: --out too, since it made that
+        assert not out.exists()
+        # A --out that was there stays, as does a directory holding a file.
+        (out / "a").mkdir(parents=True)
+        (out / "a" / "keep.txt").write_text("kept")
+        written.clear()
+        assert main(["analyze", str(logdir), "--set", "windows=1",
+                     "--out", str(out)]) == 2
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "a", "a/keep.txt"]
 
     def test_analyze_tree_does_not_depend_on_worker_count(self, tmp_path, monkeypatch,
                                                           caplog, pool_workers):

@@ -304,11 +304,22 @@ class TestDiversity:
 
 # tracemalloc peak, in bytes, of diversity_series over the n=100, T=2000
 # log of test_memory_stays_within_table_and_batch, per stride (numpy 2.4.6,
-# Python 3.11): the 1.6 MB int32 event table, the 2 MB batch and five
-# 80 kB count vectors. The margin, 0.3 MB (about 7%), is below what an
-# int64 table (+1.6 MB) or a larger batch would add.
-SERIES_PEAK = {100: 4_326_389, 1: 4_579_068}
+# Python 3.11): the 1.6 MB int32 event table, five 80 kB count vectors and
+# the batch, which holds the series' 100 networks (4 MB) at stride 100 and
+# its 8 MiB cap (209 networks) at stride 1. The margin, 0.3 MB, is below
+# what an int64 table (+1.6 MB) or a larger batch would add.
+SERIES_PEAK = {100: 6_245_296, 1: 11_022_592}
 SERIES_PEAK_MARGIN = 300_000
+WINDOWS = (10, 25, 50, 75, 100)
+
+
+def _series_peak(log, stride):
+    tracemalloc.start()
+    try:
+        diversity_series(log, WINDOWS, stride)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSeries:
@@ -353,8 +364,11 @@ class TestSeries:
         log = _random_log(rng, n=n, total=total)
         networks = sum(len(set(clip_windows(windows, t))) for t in range(1, total + 1))
         itemsize = interaction._index_dtype(n, max(windows)).itemsize
-        assert networks > 2 * (interaction._BATCH_BYTES // (itemsize * n ** 2))
-        iters, values = diversity_series(log, windows, stride=1)
+        with pytest.MonkeyPatch.context() as patch:
+            # 40 networks a batch: three full batches and a partial one
+            patch.setattr(interaction, "_BATCH_BYTES", 40 * itemsize * n ** 2)
+            assert networks > 2 * (interaction._BATCH_BYTES // (itemsize * n ** 2))
+            iters, values = diversity_series(log, windows, stride=1)
         assert list(iters) == list(range(1, total + 1))
         for t, value in zip(iters.tolist(), values.tolist()):
             assert value == interaction_diversity(log, t, clip_windows(windows, t)).id_value
@@ -374,13 +388,27 @@ class TestSeries:
     def test_memory_stays_within_table_and_batch(self, stride):
         # analyze's shape: 100 particles, 2000 iterations, windows 10-100
         log = _random_log(np.random.default_rng(5), n=100, total=2000)
-        tracemalloc.start()
-        try:
-            diversity_series(log, (10, 25, 50, 75, 100), stride)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= SERIES_PEAK[stride] + SERIES_PEAK_MARGIN
+        assert _series_peak(log, stride) <= SERIES_PEAK[stride] + SERIES_PEAK_MARGIN
+
+    def test_batch_does_not_grow_with_log_length(self):
+        # Both series fill more than one capped batch. Doubling the log
+        # adds its int32 event table rows (n * 2 * 4 bytes an iteration)
+        # and about 170 bytes per sample point of per-point arrays (0.33 MB
+        # here); a batch that grew with the series would add 8 MiB or more.
+        rng = np.random.default_rng(5)
+        short, long = (_random_log(rng, n=100, total=total) for total in (2000, 4000))
+        table = (len(long) - len(short)) * 100 * 2 * 4
+        growth = _series_peak(long, 1) - _series_peak(short, 1)
+        assert growth <= table + (1 << 20)
+
+    def test_short_series_allocates_no_more_batch_than_2_mb(self):
+        # 10 sample points of 5 distinct windows: a batch of 50 networks
+        # (2 MB) next to the 0.8 MB event table and five 80 kB count
+        # vectors, not a batch at the 8 MiB cap
+        log = _random_log(np.random.default_rng(5), n=100, total=1000)
+        table, counts = len(log) * 100 * 2 * 4, len(WINDOWS) * 100 ** 2 * 8
+        peak = _series_peak(log, 100)
+        assert peak <= table + counts + (2 << 20) + SERIES_PEAK_MARGIN
 
     def test_bad_stride(self):
         with pytest.raises(InputError):

@@ -100,6 +100,20 @@ class TestBestNeighbor:
         g = build_topology(TopologyKind.RING, 4)
         swarm = _manual_swarm([5.0, 2.0, 9.0, 2.0])
         assert _best_neighbors(swarm, g)[0] == 1
+        # every topology kind, all fitness equal and partly equal, against
+        # a plain loop over each particle's neighbors
+        graphs = [build_topology(TopologyKind.RING, 12),
+                  build_topology(TopologyKind.GLOBAL, 12),
+                  build_topology(TopologyKind.K_REGULAR, 12, 4),
+                  build_topology(TopologyKind.K_REGULAR, 12, 5),
+                  build_topology(TopologyKind.VON_NEUMANN, 12)]
+        rng = np.random.default_rng(7)
+        fitnesses = [[3.0] * 12, rng.integers(0, 3, 12).astype(float).tolist(),
+                     [1.0, 0.0] * 6]
+        for g, fitness in itertools.product(graphs, fitnesses):
+            expected = [min(map(int, row), key=lambda j: (fitness[j], j))
+                        for row in g.adjacency]
+            assert _best_neighbors(_manual_swarm(fitness), g).tolist() == expected
 
     def test_own_fitness_never_competes(self):
         g = build_topology(TopologyKind.RING, 4)
