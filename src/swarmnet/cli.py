@@ -5,11 +5,11 @@ file (defaults apply when omitted), `--set key=value` overrides single
 fields, `--seed` overrides the base seed, and `--out` names the output
 directory. Only `sweep` takes `--jobs`, which bounds its worker pool;
 `analyze` reads one log per forked worker, on as many workers as there
-are CPUs or logs, whichever is fewer, and after the last one writes
-all of its outputs or none; a failed write also removes the empty
-directories it made. `-v` and `-vv` set the level of the `swarmnet`
-logger. Exit codes: 0 on success, 1 for configuration problems, 2 for
-runtime failures.
+are CPUs or logs, whichever is fewer. Each set of files a command
+writes, such as a cell's three or all of analyze's, goes through
+io.write_all_replacing, whole or not at all.
+`-v` and `-vv` set the level of the `swarmnet` logger. Exit codes: 0 on
+success, 1 for configuration problems, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from contextlib import suppress
-from itertools import takewhile
 from pathlib import Path
 
 from . import interaction, io
@@ -100,7 +98,7 @@ def cmd_sweep(args) -> int:
     config = _load(args)
     out = Path(args.out)
     _, summaries = run_sweep(config, out, jobs=args.jobs)
-    io.write_replacing(out / "summary.csv", io.write_summary, summaries)
+    io.write_all_replacing([(out / "summary.csv", io.write_summary, summaries)])
     for row in summaries:
         print(
             f"{row.function_id.value} {label(row.topology_kind, row.k)}: "
@@ -150,8 +148,8 @@ def cmd_analyze(args) -> int:
             )
     # Write nothing until every log is analyzed, so a bad log leaves no
     # partial tree; each worker holds one log at a time, and the first log
-    # in sorted order that fails is the error raised. Then every file is
-    # written before any is renamed into place, so a failed write leaves
+    # in sorted order that fails is the error raised. Then all the files
+    # are written in one write_all_replacing, so a failed write leaves
     # none of them either.
     with ordered_map(min(available_cpus(), len(files))) as analyze:
         analyzed = list(analyze(_analyze_log, files, [config] * len(files)))
@@ -160,17 +158,7 @@ def cmd_analyze(args) -> int:
     for dest, ((iters, values), rows) in zip(dests, analyzed):
         outputs += [(dest / "diversity.csv", io.write_diversity_series, iters, values),
                     (dest / "destruction.csv", io.write_destruction_surface, rows)]
-    made = []  # the directories made here, --out too if it was missing, parents first
-    try:
-        for dest in dests:
-            made += reversed(list(takewhile(lambda d: not d.exists(), (dest, *dest.parents))))
-            dest.mkdir(parents=True, exist_ok=True)
-        io.write_all_replacing(outputs)
-    except BaseException:
-        for directory in reversed(made):  # deepest first; one not empty stays
-            with suppress(OSError):
-                directory.rmdir()
-        raise
+    io.write_all_replacing(outputs)
     for path, dest in zip(files, dests):
         log.info("analyzed %s -> %s", path, dest)
     print(f"analyzed {len(files)} log(s) into {out}")
@@ -181,9 +169,8 @@ def cmd_destruction(args) -> int:
     config = _load(args)
     logf = io.read_interaction_log(args.logfile)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    io.write_replacing(out / "destruction.csv", io.write_destruction_surface,
-                       _destruction_rows(logf, config.windows))
+    io.write_all_replacing([(out / "destruction.csv", io.write_destruction_surface,
+                             _destruction_rows(logf, config.windows))])
     print(f"destruction surface written to {out / 'destruction.csv'}")
     return 0
 

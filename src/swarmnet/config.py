@@ -3,8 +3,9 @@
 A config file holds one `key = value` pair per line with `#` comments.
 Every key has a default, so an empty file is a valid full-scale setup
 (100 particles, t_max 10000, c1 = c2 = 2.05, epsilon 1e-5, delta 500).
-Values never nest; lists are comma-separated. Overrides given as
-`key=value` strings replace file values and are validated identically.
+Values never nest; lists are comma-separated, with no empty item.
+Overrides given as `key=value` strings replace file values and are
+validated identically.
 """
 
 from __future__ import annotations
@@ -122,13 +123,15 @@ def _parse_topology_entry(entry: str) -> TopologySpec:
     return TopologySpec(kind)
 
 
-def _parse_int_list(raw: dict[str, str], key: str) -> tuple[int, ...]:
-    items = [s.strip() for s in raw[key].split(",") if s.strip()]
-    if not items:
-        raise ConfigurationError(f"field {key!r}: list must be non-empty")
+def _parse_list(raw: dict[str, str], key: str, parse) -> tuple:
+    """parse(item) for each comma-separated item of field key, stripped; an
+    empty item, as in "10,,25", "10,25," or "", is refused."""
+    items = [s.strip() for s in raw[key].split(",")]
+    if "" in items:
+        raise ConfigurationError(f"field {key!r}: empty item in list {raw[key]!r}")
     try:
-        return tuple(int(s) for s in items)
-    except ValueError:
+        return tuple(map(parse, items))
+    except ValueError:  # from int; a topology entry raises its own error
         raise ConfigurationError(f"field {key!r}: expected integers, got {raw[key]!r}")
 
 
@@ -158,16 +161,12 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         epsilon=_as_float(merged, "epsilon"),
         delta_window=_as_int(merged, "delta_window"),
     )
-    entries = [s.strip() for s in merged["topologies"].split(",") if s.strip()]
-    if not entries:
-        raise ConfigurationError("field 'topologies': list must be non-empty")
-    topologies = tuple(_parse_topology_entry(e) for e in entries)
     config = ExperimentConfig(
         objective=objective,
-        topologies=topologies,
+        topologies=_parse_list(merged, "topologies", _parse_topology_entry),
         params=params,
         repetitions=_as_int(merged, "repetitions"),
-        windows=_parse_int_list(merged, "windows"),
+        windows=_parse_list(merged, "windows", int),
         id_sample_stride=_as_int(merged, "id_sample_stride"),
         base_seed=_as_int(merged, "base_seed"),
     )

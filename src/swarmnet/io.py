@@ -4,6 +4,7 @@ Every float is written with repr(), the shortest decimal string that
 round-trips to the same binary value, so repeated runs with the same seed
 diff byte-for-byte and write-then-read returns identical in-memory data.
 Iterations are 1-based in every file; particle indices are 0-based.
+Every file is written through write_all_replacing, whole or not at all.
 
 A selection log has one grammar, the one write_interaction_log writes: the
 header line iteration,particle,best_neighbor, then lines of three runs of
@@ -21,6 +22,8 @@ import csv
 import os
 import re
 from collections.abc import Iterator
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -83,41 +86,49 @@ def write_interaction_log(path, log: InteractionLog) -> None:
             fh.write(lead + lead.join([h + ends[b] for h, b in zip(heads, row)]))
 
 
-def write_replacing(path: Path, write, *args) -> None:
-    """write(temporary path, *args), then the file renamed to path; see
-    write_all_replacing."""
-    write_all_replacing([(path, write, *args)])
-
-
 def write_all_replacing(files: list[tuple]) -> None:
     """write(temporary path, *args) for each (path, write, *args) of files,
-    then, once all are written, each file renamed to its path.
+    in the missing parent directories, which are made first; then, once all
+    are written, each file renamed to its path.
 
     The temporary names end in PART_SUFFIX, not .csv, so a write cut short
-    leaves no file that find_log_files or a reader of path would take, and
-    a write that raises leaves none at all and renames no file of the set.
+    leaves no file that find_log_files or a reader of path would take. A
+    write that raises renames no file of the set: its temporary files are
+    deleted, then the directories made here that are left empty, deepest
+    first, and the exception goes on.
     """
-    parts = []
+    made, parts = [], []  # directories made here, parents first; temporary files
     try:
+        for directory in dict.fromkeys(path.parent for path, *_ in files):
+            missing = takewhile(lambda d: not d.is_dir(), (directory, *directory.parents))
+            for new in reversed(list(missing)):
+                with suppress(FileExistsError):  # made meanwhile by another process
+                    new.mkdir()
+                    made.append(new)
         for path, write, *args in files:
             parts.append(path.with_name(path.name + PART_SUFFIX))
             write(parts[-1], *args)
         for (path, *_), part in zip(files, parts):
             os.replace(part, path)
-    finally:
+    except BaseException:
         for part in parts:
             part.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with suppress(OSError):  # one not empty stays
+                directory.rmdir()
+        raise
 
 
 def write_cell(cell_dir, result) -> None:
     """The log.csv, trace.csv and diversity.csv of one experiment.run_cell
-    result, in cell_dir, which is made if missing."""
+    result, in cell_dir, all of them or none; see write_all_replacing."""
     cell_dir = Path(cell_dir)
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    write_replacing(cell_dir / "log.csv", write_interaction_log, result.log)
-    write_replacing(cell_dir / "trace.csv", write_run_trace, result.trace)
-    write_replacing(cell_dir / "diversity.csv", write_diversity_series,
-                    result.id_iterations, result.id_values)
+    write_all_replacing([
+        (cell_dir / "log.csv", write_interaction_log, result.log),
+        (cell_dir / "trace.csv", write_run_trace, result.trace),
+        (cell_dir / "diversity.csv", write_diversity_series,
+         result.id_iterations, result.id_values),
+    ])
 
 
 def _parse_error(path, line_no: int, detail: str) -> InputError:

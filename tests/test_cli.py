@@ -207,6 +207,23 @@ class TestConfigParsing:
                          TopologyKind.K_REGULAR, TopologyKind.GLOBAL]
         assert cfg.topologies[2].k == 6
 
+    @pytest.mark.parametrize("field, value", [
+        ("windows", "10,,25"),
+        ("windows", "10,25,"),
+        ("windows", ",10"),
+        ("windows", " "),
+        ("topologies", "ring,,global"),
+        ("topologies", "ring,global,"),
+        ("topologies", ""),
+    ])
+    def test_empty_list_item_rejected(self, field, value, tmp_path, caplog):
+        with pytest.raises(ConfigurationError, match=f"field '{field}': empty item"):
+            load_config(None, [f"{field}={value}"])
+        out = tmp_path / "out"
+        assert main(["run", "--set", f"{field}={value}", "--out", str(out)]) == 1
+        assert f"field '{field}': empty item" in caplog.text
+        assert not out.exists()
+
     def test_bad_topology_entries(self):
         for entry in ("k_regular", "k_regular:x", "ring:2", "torus"):
             with pytest.raises(ConfigurationError, match="topologies"):
@@ -696,6 +713,22 @@ class TestCliCommands:
         assert lines[0] == "t_w,threshold,component_count"
         windows = {int(line.split(",")[0]) for line in lines[1:]}
         assert windows == {4, 8}
+
+    def test_destruction_failed_write_leaves_no_out(self, tiny_config, tmp_path,
+                                                     monkeypatch, caplog):
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(tiny_config), "--out", str(run_out)]) == 0
+
+        def disk_full(path, curves):
+            path.write_text("t_w,thresh")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(io, "write_destruction_surface", disk_full)
+        out = tmp_path / "surface" / "deep"
+        assert main(["destruction", str(run_out / "log.csv"),
+                     "--config", str(tiny_config), "--out", str(out)]) == 2
+        assert "No space left on device" in caplog.text
+        assert not (tmp_path / "surface").exists()
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1

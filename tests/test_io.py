@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from oracle import LogError, oracle_read_log
 from swarmnet import io
 from swarmnet.errors import InputError
-from swarmnet.pso import InteractionLog
+from swarmnet.pso import InteractionLog, RunTrace
 
 HEADER = "iteration,particle,best_neighbor"
 ROWS = ["1,0,1", "1,1,2", "1,2,0", "2,0,2", "2,1,0", "2,2,1"]
@@ -469,9 +469,19 @@ def test_find_log_files_skips_files_that_are_not_text(tmp_path):
     assert io.find_log_files(tmp_path) == [tmp_path / "log.csv"]
 
 
+def _cell_result(choices):
+    """What io.write_cell reads of an experiment.run_cell result."""
+    steps = len(choices)
+    trace = RunTrace(np.linspace(1.0, 0.5, steps), np.full(steps, 0.5), None, 0.5)
+    return SimpleNamespace(log=InteractionLog(np.array(choices)), trace=trace,
+                           id_iterations=np.arange(1, steps + 1),
+                           id_values=np.full(steps, 0.25))
+
+
 def test_cell_write_cut_short_leaves_no_log(tmp_path, monkeypatch):
-    # A log write that raises leaves no file. A worker killed inside it
-    # leaves part of the bytes, under the temporary name only.
+    # A log write that raises leaves no file, nor the cell directory it
+    # made. A worker killed inside it leaves part of the bytes, under the
+    # temporary name only.
     write_log = io.write_interaction_log
     parent = os.getpid()
 
@@ -484,19 +494,42 @@ def test_cell_write_cut_short_leaves_no_log(tmp_path, monkeypatch):
         raise OSError("write cut short")
 
     monkeypatch.setattr(io, "write_interaction_log", cut_short)
-    log = InteractionLog(np.array([[1, 0], [1, 0], [1, 0]]))
+    result = _cell_result([[1, 0], [1, 0], [1, 0]])
     with pytest.raises(OSError, match="write cut short"):
-        io.write_cell(tmp_path / "raised", SimpleNamespace(log=log))
+        io.write_cell(tmp_path / "raised", result)
     pid = os.fork()
     if pid == 0:
         try:
-            io.write_cell(tmp_path / "killed", SimpleNamespace(log=log))
+            io.write_cell(tmp_path / "killed", result)
         finally:
             os._exit(1)  # only if the kill never came
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == -signal.SIGKILL
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
-        "killed", "killed/log.csv" + io.PART_SUFFIX, "raised"]
+        "killed", "killed/log.csv" + io.PART_SUFFIX]
     assert io.find_log_files(tmp_path) == []
+
+
+def test_cell_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
+    # A trace write that raises after the log is written whole leaves
+    # neither the log nor the directories made for the cell; a directory
+    # that was there stays.
+    def disk_full(path, trace):
+        path.write_text("iteration,glob")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(io, "write_run_trace", disk_full)
+    (tmp_path / "sweep").mkdir()
+    with pytest.raises(OSError, match="No space left"):
+        io.write_cell(tmp_path / "sweep" / "f2" / "ring_2" / "rep_0",
+                      _cell_result([[1, 0], [1, 0]]))
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["sweep"]
+
+    monkeypatch.undo()
+    cell = tmp_path / "sweep" / "f2" / "ring_2" / "rep_0"
+    io.write_cell(cell, _cell_result([[1, 0], [1, 0]]))
+    assert sorted(p.name for p in cell.iterdir()) == [
+        "diversity.csv", "log.csv", "trace.csv"]
+    assert io.read_run_trace(cell / "trace.csv")[0].tolist() == [1, 2]
 
 
 def test_find_log_files_takes_the_readers_header(tmp_path):
