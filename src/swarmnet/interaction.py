@@ -36,24 +36,29 @@ network is taken as a complete graph in which a zero weight means no edge,
 so its spanning tree's positive edges are the forest and its zero edges
 join the components.
 
-diversity_series does not rebuild each network: per distinct window length
-it keeps one flat int64 vector of symmetric counts (an event a -> b adds
-one at a*n + b and at b*n + a) and moves it from one sample point to the
-next by adding the events of the rows that entered the window and
-subtracting those of the rows that left. A gap of a whole window or more
-rebuilds the vector from the window's rows. Both flat indices of every
+diversity_series does not rebuild each network. It keeps one array of
+symmetric counts (an event a -> b adds one at a*n + b and at b*n + a)
+with a row per distinct window length, ascending, and moves all rows
+from one sample point to the next together. Both flat indices of every
 event are computed once per log, into a table with one row per
-iteration, and each step takes its entering, leaving or rebuilding rows
-as a slice of it. Each sample point's networks, one per distinct clipped
-window, are copied into a batch of at most 8 MiB of weights, and each full
-batch goes through one forest pass; the batch holds no more networks than
-the series has. Table and batch are int32 whenever the flat indices and
-the weights fit in it, which holds for every swarm a dense n x n batch
-can hold, so one pass covers twice the networks an int64 batch would.
+iteration. Over a gap of g iterations, the windows before the first one
+whose band (its rows beyond the next shorter window) is longer than 2g
+are rebuilt in ascending order, each from the next shorter window plus
+a bincount of its band, and so is every window that fills up during the
+gap. One np.add.at moves every other window, subtracting the events of
+the rows that left it and adding those of the rows that entered. At a
+sample point the distinct clipped windows are a prefix of the rows,
+copied into a batch of at most 8 MiB of weights by one slice
+assignment; each full batch goes through one forest pass, and the batch
+holds no more networks than the series has. Table, counts and batch are
+int32 whenever the flat indices and the weights fit in it, which holds
+for every swarm a dense n x n batch can hold, so one pass covers twice
+the networks an int64 batch would.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,52 +246,107 @@ def diversity_series(log: InteractionLog, windows: tuple[int, ...],
     total = len(log)
     if total < 1:
         raise InputError("log holds no iterations")
-    points = list(range(stride, total + 1, stride))
-    if not points or points[-1] != total:
-        points.append(total)
+    points = np.arange(stride, total + 1, stride, dtype=np.int64)
+    if not len(points) or points[-1] != total:
+        points = np.append(points, np.int64(total))
     n = log.n
-    dtype = _index_dtype(n, min(max(windows), total))
+    nn = n * n
+    # the distinct windows, ascending; one longer than the log is clipped
+    # at every point to the same network as the log's length
+    ws = sorted({min(w, total) for w in windows})
+    ws_arr = np.array(ws, dtype=np.int64)
+    # no count exceeds 2 * total, not even between an update's -1s and +1s
+    dtype = _index_dtype(n, total)
     # row t holds the flat indices of iteration t + 1's events
     events = _event_table(log.choices, n, dtype)
-    # counts[w] covers rows max(t - w, 0)..t-1, the window clipped at t;
-    # they stay int64, where np.add.at takes its fast path
-    counts = {w: np.zeros(n * n, dtype=np.int64) for w in set(windows)}
-    # no more slots than the series has (point, distinct window) pairs: a
-    # large allocation gets huge pages, which a short series would not use
-    capacity = max(1, _BATCH_BYTES // (dtype.itemsize * n * n))
-    batch = np.empty((min(capacity, len(points) * len(counts)), n, n), dtype=dtype)
-    # one slot per (point, distinct clipped window): its t_w, and for every
-    # point the slot that each window's area comes from
-    slot_t_w = []
-    slot_of = np.empty((len(points), len(windows)), dtype=np.int64)
+    # counts[j] covers rows max(t - ws[j], 0)..t-1, window j clipped at t.
+    # They share the batch's dtype, so a slot fills by a plain copy.
+    counts = np.zeros((len(ws), nn), dtype=dtype)
+    flat = counts.reshape(-1)
+    offsets = np.arange(0, counts.size, nn)[:, None]
+    # At point t the distinct clipped windows are ws[:m], the last one
+    # clipped to t: one slot each, consecutive from the point's first.
+    m = np.minimum(np.searchsorted(ws_arr, points) + 1, len(ws))
+    first = np.cumsum(m) - m
+    point_of = np.repeat(np.arange(len(points)), m)
+    slot_t_w = np.minimum(ws_arr[np.arange(len(point_of)) - first[point_of]],
+                          points[point_of])
+    # no more slots than the series has: a large allocation gets huge
+    # pages, which a short series would not use
+    capacity = max(1, _BATCH_BYTES // (dtype.itemsize * nn))
+    batch = np.empty((min(capacity, len(slot_t_w)), n, n), dtype=dtype)
+    slots = batch.reshape(len(batch), nn)
+    # Per gap g between sample points: a step rebuilds ws[:r] and updates
+    # the others by one np.add.at over idx. An update reads 2g rows (g
+    # leaving, g entering); a rebuild reads the band's rows and makes a
+    # pass over the n*n counts, which costs about as much as n/8 rows. So
+    # r is the first window longer than g whose band costs more than 2g
+    # rows. The -1s at the leaving rows' indices come before the middle
+    # of idx, the +1s at the entering ones after it.
+    bands = [w - shorter for w, shorter in zip(ws, [0, *ws])]
+    # every gap between sample points is the first one but a shorter last
+    gaps = {int(points[0]), int(points[-1] - points[-2]) if len(points) > 1 else total}
+    plans = {}
+    for g in gaps:
+        r = next((j for j, (w, band) in enumerate(zip(ws, bands))
+                  if w > g and band + n / 8 > 2 * g), len(ws))
+        # Once ws[:full] are full at prev, an update reads the spans of g
+        # rows starting back[len(ws) - full:] rows before prev: the leaving
+        # ones of ws[r:full], longest window first, then the entering one
+        # for each window of ws[r:]. Each goes to its window's offset.
+        back = np.concatenate((ws_arr[r:][::-1], np.zeros(len(ws) - r, dtype=np.int64)))
+        window_offsets = np.concatenate((offsets[r:][::-1], offsets[r:]))
+        # spans[s]: the g rows from row s on, as one row
+        spans = np.lib.stride_tricks.as_strided(
+            events, (total - g + 1, 2 * n * g), (events.strides[0], events.itemsize),
+            writeable=False)
+        plans[g] = r, back, window_offsets, spans
+    half = 2 * n * max((len(ws) - r) * g for g, (r, *_) in plans.items())
+    idx = np.empty(2 * half, dtype=np.int64)
+    signs = np.repeat(np.array([-1, 1], dtype=dtype), half)
     areas = []
-    prev = 0
-    for k, t in enumerate(points):
-        entering = events[prev:t].ravel()
-        for w, flat in counts.items():
-            if t - prev >= w:
-                flat[:] = np.bincount(events[t - w:t].ravel(), minlength=n * n)
+    filled = prev = 0
+    for t, at_t in zip(points.tolist(), m.tolist()):
+        g = t - prev
+        r, back, window_offsets, spans = plans[g]
+        # ws[r:full] were full at prev and stay so; ws[full:short] fill up
+        # from clipped during the gap and are rebuilt too
+        full = max(bisect_right(ws, prev), r)
+        short = max(bisect_left(ws, t), r)
+        if r < len(ws):
+            update = slice(half - (full - r) * 2 * n * g, half + (len(ws) - r) * 2 * n * g)
+            np.add(window_offsets[len(ws) - full:], spans[prev - back[len(ws) - full:]],
+                   out=idx[update].reshape(-1, 2 * n * g))
+            np.add.at(flat, idx[update], signs[update])
+        # ascending, each from the next shorter window and the rows before it
+        for j in [*range(r), *range(full, short)]:
+            hi = max(t - ws[j - 1], 0) if j else t
+            older = np.bincount(events[max(t - ws[j], 0):hi].ravel(), minlength=nn)
+            if j:
+                np.add(counts[j - 1], older, out=counts[j], dtype=dtype, casting="same_kind")
             else:
-                np.add.at(flat, entering, 1)
-                np.subtract.at(flat, events[max(prev - w, 0):max(t - w, 0)].ravel(), 1)
-        slots = {}
-        for i, w in enumerate(windows):
-            t_w = min(w, t)
-            if t_w not in slots:
-                slot = slots[t_w] = len(slot_t_w)
-                batch[slot % len(batch)] = counts[w].reshape(n, n)
-                slot_t_w.append(t_w)
-                if len(slot_t_w) % len(batch) == 0:
-                    areas.append(_areas(batch, slot_t_w[-len(batch):]))
-            slot_of[k, i] = slots[t_w]
+                counts[j] = older
+        # slots filled..filled + at_t - 1, split where the batch fills
+        done = 0
+        while done < at_t:
+            start = filled % len(batch)
+            step = min(at_t - done, len(batch) - start)
+            slots[start:start + step] = counts[done:done + step]
+            done += step
+            filled += step
+            if filled % len(batch) == 0:
+                areas.append(_areas(batch, slot_t_w[filled - len(batch):filled]))
         prev = t
-    filled = len(slot_t_w) % len(batch)
-    if filled:
-        areas.append(_areas(batch[:filled], slot_t_w[-filled:]))
+    rest = filled % len(batch)
+    if rest:
+        areas.append(_areas(batch[:rest], slot_t_w[filled - rest:]))
+    # each window's slot: its rank among ws, or the point's last if clipped
+    rank = np.searchsorted(ws, [min(w, total) for w in windows])
+    slot_of = first[:, None] + np.minimum(rank, m[:, None] - 1)
     chosen = np.concatenate(areas)[slot_of]
     # left to right over the windows, as the builtin sum adds them
     total_area = chosen[:, 0].copy()
     for column in chosen.T[1:]:
         total_area += column
     values = 1.0 - total_area / (n * len(windows))
-    return np.array(points, dtype=np.int64), values
+    return points, values

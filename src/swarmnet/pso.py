@@ -140,9 +140,18 @@ class RunTrace:
 def _best_neighbors(swarm: Swarm, g: topo.TopologyGraph) -> np.ndarray:
     """Each particle's neighbor with minimal personal-best fitness; ties go
     to the smallest index. A particle's own pbest never competes."""
+    fitness = swarm.pbest_fitness
+    if g.k == g.n - 1:
+        # complete graph: every particle picks the best one, which picks
+        # the best of the others, in O(n) instead of gathering n(n-1)
+        best = fitness.argmin()
+        choices = np.full(g.n, best)
+        second = np.concatenate((fitness[:best], fitness[best + 1:])).argmin()
+        choices[best] = second + (second >= best)
+        return choices
     adjacency = g.adjacency
     # each row's position of its best, then that position in the flat (n, k)
-    best = swarm.pbest_fitness.take(adjacency).argmin(axis=1)
+    best = fitness.take(adjacency).argmin(axis=1)
     best += np.arange(0, adjacency.size, adjacency.shape[1])
     return adjacency.take(best)
 

@@ -1,5 +1,6 @@
 """Interaction-network construction, destruction, and diversity checks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -389,6 +390,39 @@ class TestSeries:
         # analyze's shape: 100 particles, 2000 iterations, windows 10-100
         log = _random_log(np.random.default_rng(5), n=100, total=2000)
         assert _series_peak(log, stride) <= SERIES_PEAK[stride] + SERIES_PEAK_MARGIN
+
+    def test_memory_just_below_the_largest_window(self):
+        # Stride 99, just below the largest window, keeps nearly the
+        # stride-100 batch. On top of it the bound allows the int64
+        # indices of an update of 4 windows by 99 rows, 4 * 99 * 2n of
+        # them (0.63 MB).
+        log = _random_log(np.random.default_rng(5), n=100, total=2000)
+        updates = 4 * 99 * 2 * 100 * 8
+        assert _series_peak(log, 99) <= SERIES_PEAK[100] + updates + SERIES_PEAK_MARGIN
+
+    @pytest.mark.parametrize("windows, total", [((25, 1, 10, 25, 70), 60),
+                                                 ((3, 40, 3, 7, 100, 2), 60),
+                                                 ((12, 2, 10), 11)])
+    def test_every_update_path_matches_interaction_diversity(self, windows, total):
+        # Strides on both sides of each window (a gap of a whole window
+        # rebuilds it) and of each gap from which a step rebuilds a window
+        # from the next shorter one (its band plus n/8 rows is at most
+        # twice the gap), plus 1, T and T + 1. The windows are unsorted,
+        # repeat, hold a window of 1 and reach past the log. In the last
+        # case, stride 4 rebuilds window 11 at t = 8 while the window before
+        # it is still clipped, and the last, shorter gap then updates it.
+        n = 12
+        log = _random_log(np.random.default_rng(18), n=n, total=total)
+        ws = sorted({min(w, total) for w in windows})
+        rebuilt_from = [math.ceil((band + n / 8) / 2) for band in np.diff(ws, prepend=0).tolist()]
+        strides = {1, total, total + 1}
+        for w in ws + rebuilt_from:
+            strides.update((w - 1, w, w + 1))
+        for stride in sorted(s for s in strides if s >= 1):
+            iters, values = diversity_series(log, windows, stride)
+            for t, value in zip(iters.tolist(), values.tolist()):
+                expected = interaction_diversity(log, t, clip_windows(windows, t)).id_value
+                assert value == expected, (stride, t)
 
     def test_batch_does_not_grow_with_log_length(self):
         # Both series fill more than one capped batch. Doubling the log

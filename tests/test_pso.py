@@ -115,6 +115,20 @@ class TestBestNeighbor:
                         for row in g.adjacency]
             assert _best_neighbors(_manual_swarm(fitness), g).tolist() == expected
 
+    @pytest.mark.parametrize("kind, k", [(TopologyKind.GLOBAL, None),
+                                         (TopologyKind.K_REGULAR, 99)])
+    def test_complete_graph_matches_per_particle_loop(self, kind, k):
+        # the O(n) path for degree n - 1, on fitness drawn from three
+        # values, so the best value is shared by many particles
+        g = build_topology(kind, 100, k)
+        assert g.k == g.n - 1
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            fitness = rng.integers(0, 3, 100).astype(float).tolist()
+            expected = [min((j for j in range(100) if j != i), key=lambda j: (fitness[j], j))
+                        for i in range(100)]
+            assert _best_neighbors(_manual_swarm(fitness), g).tolist() == expected
+
     def test_own_fitness_never_competes(self):
         g = build_topology(TopologyKind.RING, 4)
         swarm = _manual_swarm([0.0, 7.0, 8.0, 9.0])
