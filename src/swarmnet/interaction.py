@@ -36,21 +36,21 @@ network is taken as a complete graph in which a zero weight means no edge,
 so its spanning tree's positive edges are the forest and its zero edges
 join the components.
 
-diversity_series does not rebuild each network. It keeps one array of
-symmetric counts (an event a -> b adds one at a*n + b and at b*n + a)
-with a row per distinct window length, ascending, and moves all rows
-from one sample point to the next together. Both flat indices of every
-event are computed once per log, into a table with one row per
-iteration. Over a gap of g iterations, the windows before the first one
-whose band (its rows beyond the next shorter window) is longer than 2g
-are rebuilt in ascending order, each from the next shorter window plus
-a bincount of its band, and so is every window that fills up during the
-gap. One np.add.at moves every other window, subtracting the events of
-the rows that left it and adding those of the rows that entered. At a
-sample point the distinct clipped windows are a prefix of the rows,
-copied into a batch of at most 8 MiB of weights by one slice
-assignment; each full batch goes through one forest pass, and the batch
-holds no more networks than the series has. Table, counts and batch are
+diversity_series does not rebuild each network. It keeps running totals
+of symmetric counts (an event a -> b adds one at a*n + b and at b*n + a)
+at lag 0 and at each distinct window length: at sample point t the total
+at lag L counts the events of the iterations before t - L, so window
+t_w's network is the lag-0 total minus the lag-t_w one. Both flat indices
+of every event are computed once per log, into a table whose rows follow
+as many pad rows as the longest window; their events go to a last
+counter that is never read, so a window clipped at the log's start needs
+no code of its own. Between sample points the totals lagged by less
+than t advance by their own rows in one np.add.at or, when a rebuild
+reads fewer rows, all are rebuilt, each as the next longer lag's total
+plus a bincount of the band between. At a sample point the distinct
+clipped windows are subtracted straight into a batch of at most 8 MiB
+of weights; each full batch goes through one forest pass, and the batch
+holds no more networks than the series has. Table, totals and batch are
 int32 whenever the flat indices and the weights fit in it, which holds
 for every swarm a dense n x n batch can hold, so one pass covers twice
 the networks an int64 batch would.
@@ -58,7 +58,6 @@ the networks an int64 batch would.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,14 +109,17 @@ def _index_dtype(n: int, t_w: int) -> np.dtype:
     return np.dtype(np.int32 if fits else np.int64)
 
 
-def _event_table(rows: np.ndarray, n: int, dtype) -> np.ndarray:
-    """(len(rows), 2n) flat indices a*n + b, then b*n + a, of each event a -> b."""
+def _event_table(rows: np.ndarray, n: int, dtype, pad: int = 0) -> np.ndarray:
+    """(pad + len(rows), 2n) flat indices a*n + b, then b*n + a, of each event
+    a -> b, after pad rows that hold n*n only."""
     a = np.arange(n, dtype=dtype)
-    table = np.empty((len(rows), 2 * n), dtype=dtype)
-    # formed in dtype itself: every index is below n*n, which dtype holds
-    np.add(rows, a * n, out=table[:, :n], dtype=dtype, casting="same_kind")
-    np.multiply(rows, n, out=table[:, n:], dtype=dtype, casting="same_kind")
-    table[:, n:] += a
+    table = np.empty((pad + len(rows), 2 * n), dtype=dtype)
+    table[:pad] = n * n
+    body = table[pad:]
+    # formed in dtype itself: every index is at most n*n, which dtype holds
+    np.add(rows, a * n, out=body[:, :n], dtype=dtype, casting="same_kind")
+    np.multiply(rows, n, out=body[:, n:], dtype=dtype, casting="same_kind")
+    body[:, n:] += a
     return table
 
 
@@ -254,84 +256,56 @@ def diversity_series(log: InteractionLog, windows: tuple[int, ...],
     # the distinct windows, ascending; one longer than the log is clipped
     # at every point to the same network as the log's length
     ws = sorted({min(w, total) for w in windows})
-    ws_arr = np.array(ws, dtype=np.int64)
-    # no count exceeds 2 * total, not even between an update's -1s and +1s
-    dtype = _index_dtype(n, total)
-    # row t holds the flat indices of iteration t + 1's events
-    events = _event_table(log.choices, n, dtype)
-    # counts[j] covers rows max(t - ws[j], 0)..t-1, window j clipped at t.
-    # They share the batch's dtype, so a slot fills by a plain copy.
-    counts = np.zeros((len(ws), nn), dtype=dtype)
-    flat = counts.reshape(-1)
-    offsets = np.arange(0, counts.size, nn)[:, None]
-    # At point t the distinct clipped windows are ws[:m], the last one
-    # clipped to t: one slot each, consecutive from the point's first.
-    m = np.minimum(np.searchsorted(ws_arr, points) + 1, len(ws))
+    lags = np.array([0, *ws], dtype=np.int64)
+    dtype = _index_dtype(n, total)  # no real count exceeds 2 * total
+    # row pad + t holds iteration t + 1's events; the pad rows before it
+    # point at the last counter, n*n, which is never read
+    pad = ws[-1]
+    events = _event_table(log.choices, n, dtype, pad)
+    padded = np.arange(pad, pad + total)
+    # totals[k] counts the events of the rows before t - lags[k], less
+    # those before the last rebuild's base; window j is totals[0] - totals[j + 1]
+    totals = np.zeros((len(lags), nn + 1), dtype=dtype)
+    flat = totals.reshape(-1)
+    # int64 indices, as flat may outgrow dtype and np.add.at is fastest on
+    # them; it takes its fast path only for a value of flat's dtype
+    offsets = np.arange(0, flat.size, nn + 1)[:, None, None]
+    # At point t the totals lagged by less than t are live; the others hold
+    # pad rows only and wait. The distinct clipped windows are ws[:m], the
+    # last one clipped to t: one slot each, consecutive from the point's first.
+    live = np.searchsorted(lags, points)
+    m = np.minimum(live, len(ws))
     first = np.cumsum(m) - m
     point_of = np.repeat(np.arange(len(points)), m)
-    slot_t_w = np.minimum(ws_arr[np.arange(len(point_of)) - first[point_of]],
+    slot_t_w = np.minimum(lags[1:][np.arange(len(point_of)) - first[point_of]],
                           points[point_of])
     # no more slots than the series has: a large allocation gets huge
     # pages, which a short series would not use
     capacity = max(1, _BATCH_BYTES // (dtype.itemsize * nn))
     batch = np.empty((min(capacity, len(slot_t_w)), n, n), dtype=dtype)
     slots = batch.reshape(len(batch), nn)
-    # Per gap g between sample points: a step rebuilds ws[:r] and updates
-    # the others by one np.add.at over idx. An update reads 2g rows (g
-    # leaving, g entering); a rebuild reads the band's rows and makes a
-    # pass over the n*n counts, which costs about as much as n/8 rows. So
-    # r is the first window longer than g whose band costs more than 2g
-    # rows. The -1s at the leaving rows' indices come before the middle
-    # of idx, the +1s at the entering ones after it.
-    bands = [w - shorter for w, shorter in zip(ws, [0, *ws])]
-    # every gap between sample points is the first one but a shorter last
-    gaps = {int(points[0]), int(points[-1] - points[-2]) if len(points) > 1 else total}
-    plans = {}
-    for g in gaps:
-        r = next((j for j, (w, band) in enumerate(zip(ws, bands))
-                  if w > g and band + n / 8 > 2 * g), len(ws))
-        # Once ws[:full] are full at prev, an update reads the spans of g
-        # rows starting back[len(ws) - full:] rows before prev: the leaving
-        # ones of ws[r:full], longest window first, then the entering one
-        # for each window of ws[r:]. Each goes to its window's offset.
-        back = np.concatenate((ws_arr[r:][::-1], np.zeros(len(ws) - r, dtype=np.int64)))
-        window_offsets = np.concatenate((offsets[r:][::-1], offsets[r:]))
-        # spans[s]: the g rows from row s on, as one row
-        spans = np.lib.stride_tricks.as_strided(
-            events, (total - g + 1, 2 * n * g), (events.strides[0], events.itemsize),
-            writeable=False)
-        plans[g] = r, back, window_offsets, spans
-    half = 2 * n * max((len(ws) - r) * g for g, (r, *_) in plans.items())
-    idx = np.empty(2 * half, dtype=np.int64)
-    signs = np.repeat(np.array([-1, 1], dtype=dtype), half)
     areas = []
     filled = prev = 0
-    for t, at_t in zip(points.tolist(), m.tolist()):
-        g = t - prev
-        r, back, window_offsets, spans = plans[g]
-        # ws[r:full] were full at prev and stay so; ws[full:short] fill up
-        # from clipped during the gap and are rebuilt too
-        full = max(bisect_right(ws, prev), r)
-        short = max(bisect_left(ws, t), r)
-        if r < len(ws):
-            update = slice(half - (full - r) * 2 * n * g, half + (len(ws) - r) * 2 * n * g)
-            np.add(window_offsets[len(ws) - full:], spans[prev - back[len(ws) - full:]],
-                   out=idx[update].reshape(-1, 2 * n * g))
-            np.add.at(flat, idx[update], signs[update])
-        # ascending, each from the next shorter window and the rows before it
-        for j in [*range(r), *range(full, short)]:
-            hi = max(t - ws[j - 1], 0) if j else t
-            older = np.bincount(events[max(t - ws[j], 0):hi].ravel(), minlength=nn)
-            if j:
-                np.add(counts[j - 1], older, out=counts[j], dtype=dtype, casting="same_kind")
-            else:
-                counts[j] = older
+    for t, at_t, live_t in zip(points.tolist(), m.tolist(), live.tolist()):
+        # Advancing reads t - prev rows per live total; rebuilding, ws[-1]
+        # rows and a pass over the n*n counts per window, about n/8 rows.
+        if live_t * (t - prev) <= pad + len(ws) * n / 8:
+            rows = events.take(padded[prev:t] - lags[:live_t, None], axis=0)
+            np.add.at(flat, (rows + offsets[:live_t]).ravel(), dtype.type(1))
+        else:
+            # from base t - ws[-1], each from the next longer lag's total
+            totals[-1] = 0
+            for k in range(len(ws) - 1, -1, -1):
+                band = events[t + pad - lags[k + 1]:t + pad - lags[k]]
+                np.add(totals[k + 1], np.bincount(band.ravel(), minlength=nn + 1),
+                       out=totals[k], dtype=dtype, casting="same_kind")
         # slots filled..filled + at_t - 1, split where the batch fills
         done = 0
         while done < at_t:
             start = filled % len(batch)
             step = min(at_t - done, len(batch) - start)
-            slots[start:start + step] = counts[done:done + step]
+            np.subtract(totals[0, :nn], totals[done + 1:done + step + 1, :nn],
+                        out=slots[start:start + step])
             done += step
             filled += step
             if filled % len(batch) == 0:

@@ -1,6 +1,5 @@
 """Interaction-network construction, destruction, and diversity checks."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -323,6 +322,31 @@ def _series_peak(log, stride):
         tracemalloc.stop()
 
 
+def _check_every_stride(windows, total, n=12):
+    """Check diversity_series at every stride from 1 to T + 1.
+
+    The strides fall on both sides of each window and of each gap from
+    which a point rebuilds the totals rather than advancing the live ones
+    (those lagged by less than t), which reads more rows. Returns the paths
+    taken and each (regular gap, shorter last gap) pair of paths that differ.
+    """
+    log = _random_log(np.random.default_rng(18), n=n, total=total)
+    ws = sorted({min(w, total) for w in windows})
+    paths, turns = set(), set()
+    for stride in range(1, total + 2):
+        iters, values = diversity_series(log, windows, stride)
+        for t, value in zip(iters.tolist(), values.tolist()):
+            expected = interaction_diversity(log, t, clip_windows(windows, t)).id_value
+            assert value == expected, (stride, t)
+        live = 1 + np.searchsorted(ws, iters)
+        cheap = live * np.diff(iters, prepend=0) <= ws[-1] + len(ws) * n / 8
+        path = ["advance" if c else "rebuild" for c in cheap.tolist()]
+        paths.update(path)
+        if len(iters) > 1 and iters[-1] - iters[-2] < stride and path[-2] != path[-1]:
+            turns.add((path[-2], path[-1]))
+    return paths, turns
+
+
 class TestSeries:
     def test_clip_windows(self):
         assert clip_windows((10, 25, 50), 30) == (10, 25, 30)
@@ -393,9 +417,10 @@ class TestSeries:
 
     def test_memory_just_below_the_largest_window(self):
         # Stride 99, just below the largest window, keeps nearly the
-        # stride-100 batch. On top of it the bound allows the int64
-        # indices of an update of 4 windows by 99 rows, 4 * 99 * 2n of
-        # them (0.63 MB).
+        # stride-100 batch. On top of it the bound allows 4 * 99 * 2n
+        # int64 values (0.63 MB) for the indices of an advance. Here only
+        # the last, 20-row gap advances, all six totals at once: 6 * 20 * 2n
+        # indices, gathered in int32 and offset in int64 (0.29 MB).
         log = _random_log(np.random.default_rng(5), n=100, total=2000)
         updates = 4 * 99 * 2 * 100 * 8
         assert _series_peak(log, 99) <= SERIES_PEAK[100] + updates + SERIES_PEAK_MARGIN
@@ -404,25 +429,19 @@ class TestSeries:
                                                  ((3, 40, 3, 7, 100, 2), 60),
                                                  ((12, 2, 10), 11)])
     def test_every_update_path_matches_interaction_diversity(self, windows, total):
-        # Strides on both sides of each window (a gap of a whole window
-        # rebuilds it) and of each gap from which a step rebuilds a window
-        # from the next shorter one (its band plus n/8 rows is at most
-        # twice the gap), plus 1, T and T + 1. The windows are unsorted,
-        # repeat, hold a window of 1 and reach past the log. In the last
-        # case, stride 4 rebuilds window 11 at t = 8 while the window before
-        # it is still clipped, and the last, shorter gap then updates it.
-        n = 12
-        log = _random_log(np.random.default_rng(18), n=n, total=total)
-        ws = sorted({min(w, total) for w in windows})
-        rebuilt_from = [math.ceil((band + n / 8) / 2) for band in np.diff(ws, prepend=0).tolist()]
-        strides = {1, total, total + 1}
-        for w in ws + rebuilt_from:
-            strides.update((w - 1, w, w + 1))
-        for stride in sorted(s for s in strides if s >= 1):
-            iters, values = diversity_series(log, windows, stride)
-            for t, value in zip(iters.tolist(), values.tolist()):
-                expected = interaction_diversity(log, t, clip_windows(windows, t)).id_value
-                assert value == expected, (stride, t)
+        # The windows are unsorted, repeat, hold a window of 1 and reach
+        # past the log.
+        paths, turns = _check_every_stride(windows, total)
+        assert paths == {"advance", "rebuild"}
+        assert ("rebuild", "advance") in turns
+
+    def test_shorter_last_gap_can_rebuild_after_an_advance(self):
+        # At stride 6, t = 6 advances the totals at lags 0 and 2 by 6 rows
+        # each. By t = 11 the totals at lags 7 and 10 are live too, so its
+        # 5-row gap would advance four totals, 20 rows, more than the
+        # 11 + 4 * 12 / 8 = 17 a rebuild reads: it rebuilds.
+        _, turns = _check_every_stride((12, 2, 7, 10), 11)
+        assert turns == {("advance", "rebuild"), ("rebuild", "advance")}
 
     def test_batch_does_not_grow_with_log_length(self):
         # Both series fill more than one capped batch. Doubling the log
