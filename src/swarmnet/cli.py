@@ -1,11 +1,12 @@
-"""Command-line interface: run, sweep, analyze, and destruction subcommands.
+"""Command-line interface: run, sweep, and analyze subcommands.
 
 All subcommands share the same flags: `--config` points at a key=value
 file (defaults apply when omitted), `--set key=value` overrides single
 fields, `--seed` overrides the base seed, and `--out` names the output
-directory. Only `sweep` takes `--jobs`, which bounds its worker pool;
-`analyze` reads one log per forked worker, on as many workers as there
-are CPUs or logs, whichever is fewer. Each set of files a command
+directory. Only `sweep` takes `--jobs`, which bounds its worker pool.
+`analyze` takes one log file, or a directory whose logs it reads one per
+forked worker, on as many workers as there are CPUs or logs, whichever
+is fewer. Each set of files a command
 writes, such as a cell's three or all of analyze's, goes through
 io.write_all_replacing, whole or not at all.
 `-v` and `-vv` set the level of the `swarmnet` logger. Exit codes: 0 on
@@ -56,10 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "process may run on, here %(default)s)")
     p_analyze = sub.add_parser("analyze", parents=[common],
                                help="recompute metrics from saved logs")
-    p_analyze.add_argument("logdir", help="directory containing selection logs")
-    p_destr = sub.add_parser("destruction", parents=[common],
-                             help="emit the destruction surface of one log")
-    p_destr.add_argument("logfile", help="path to one selection log CSV")
+    p_analyze.add_argument("logs", metavar="LOG_OR_DIR",
+                           help="one selection log, or a directory searched for them")
     return parser
 
 
@@ -110,31 +109,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _destruction_rows(logf, windows):
-    """Clipped-window destruction curves of the final-iteration network."""
-    total = len(logf)
-    clipped = sorted(set(interaction.clip_windows(windows, total)))
-    nets = [interaction.build_network(logf, total, w) for w in clipped]
-    return list(zip(clipped, interaction.destruction_curves(nets)))
-
-
 def _analyze_log(path, config):
-    """ID series and final destruction rows of one log file."""
+    """ID series of one log file, and the clipped-window destruction rows
+    of its final-iteration network."""
     logf = io.read_interaction_log(path)
     series = interaction.diversity_series(
         logf, config.windows, config.id_sample_stride
     )
-    return series, _destruction_rows(logf, config.windows)
+    total = len(logf)
+    clipped = sorted(set(interaction.clip_windows(config.windows, total)))
+    nets = [interaction.build_network(logf, total, w) for w in clipped]
+    return series, list(zip(clipped, interaction.destruction_curves(nets)))
 
 
 def cmd_analyze(args) -> int:
     config = _load(args)
-    log_dir = Path(args.logdir)
-    if not log_dir.is_dir():
-        raise SwarmnetError(f"log directory not found: {log_dir}")
-    files = io.find_log_files(log_dir)
-    if not files:
-        raise SwarmnetError(f"no logs found under {log_dir}")
+    # A directory is searched for logs; any other path is read as one log,
+    # whose outputs go straight into --out.
+    source = Path(args.logs)
+    if source.is_dir():
+        log_dir, files = source, io.find_log_files(source)
+        if not files:
+            raise SwarmnetError(f"no logs found under {log_dir}")
+    else:
+        log_dir, files = source.parent, [source]
     out = Path(args.out)
     # A log's outputs go to its directory's mirror under --out, so no two
     # logs may share a directory; check them all before writing anything.
@@ -165,21 +163,10 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_destruction(args) -> int:
-    config = _load(args)
-    logf = io.read_interaction_log(args.logfile)
-    out = Path(args.out)
-    io.write_all_replacing([(out / "destruction.csv", io.write_destruction_surface,
-                             _destruction_rows(logf, config.windows))])
-    print(f"destruction surface written to {out / 'destruction.csv'}")
-    return 0
-
-
 _COMMANDS = {
     "run": cmd_run,
     "sweep": cmd_sweep,
     "analyze": cmd_analyze,
-    "destruction": cmd_destruction,
 }
 
 

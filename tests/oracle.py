@@ -13,10 +13,15 @@ the text the package's InputError carries.
 `oracle_topology` is the set-based topology construction the package used
 before its closed forms; it raises TopologyError with the text the
 package's ConfigurationError carries.
+
+`oracle_pso` runs constricted PSO one particle and one coordinate at a
+time, on plain lists, with `oracle_topology`'s neighbors.
 """
 
 import math
 from collections import deque
+
+import numpy as np
 
 LOG_HEADER = ["iteration", "particle", "best_neighbor"]
 
@@ -195,3 +200,76 @@ def oracle_id(choices, t, windows):
         weights = oracle_weights(choices, t, t_w)
         areas.append(oracle_area(oracle_curve(n, weights, t_w)))
     return 1.0 - sum(areas) / (n * len(windows))
+
+
+def oracle_pso(objective, kind_value, k, params):
+    """(trace, choices, swarm) of one constricted PSO run, coordinate by coordinate.
+
+    The objective is a black box: only its bounds, its dimension and
+    evaluate_many are used, once on the initial swarm and then once per
+    step on the whole swarm's positions. The uniforms come one at a time
+    from the oracle's own default_rng(params.rng_seed): first the initial
+    positions, particle by particle and dimension by dimension, then for
+    each iteration, particle and dimension, r1 before r2. Each particle
+    copies the neighbor with the lowest personal-best fitness at the end of
+    the previous iteration, the lowest index on a tie, never itself. A
+    personal best moves on strict improvement only. The run stops at t_max,
+    or delta_window iterations after the last iteration t_s >= 1 whose
+    relative improvement reached epsilon.
+
+    trace is (global best per iteration, relative improvement per
+    iteration, converged_at); choices[t-1][i] is particle i's neighbor at
+    iteration t; swarm is the final (positions, velocities, personal bests,
+    personal-best fitness).
+    """
+    n, d = params.swarm_size, objective.dimension
+    c1, c2, chi = params.c1, params.c2, params.chi
+    _, neighbors = oracle_topology(kind_value, n, k)
+    rng = np.random.default_rng(params.rng_seed)
+    lower, upper = objective.bounds
+
+    def evaluate(points):
+        return [float(f) for f in objective.evaluate_many(np.array(points))]
+
+    x = [[rng.uniform(lower, upper) for _ in range(d)] for _ in range(n)]
+    v = [[0.0] * d for _ in range(n)]
+    p = [row[:] for row in x]
+    pf = evaluate(x)
+    f_prev = min(pf)
+    best_hist, delta_hist, choices = [], [], []
+    last_improve = 0
+    converged_at = None
+    for t in range(1, params.t_max + 1):
+        nb = []
+        for i in range(n):
+            best = None
+            for j in neighbors[i]:
+                if j != i and (best is None or pf[j] < pf[best]):
+                    best = j
+            nb.append(best)
+        for i in range(n):
+            for e in range(d):
+                r1 = rng.random()
+                r2 = rng.random()
+                vel = v[i][e] + (p[i][e] - x[i][e]) * (c1 * r1)
+                vel = vel + (p[nb[i]][e] - x[i][e]) * (c2 * r2)
+                v[i][e] = vel * chi
+                x[i][e] = x[i][e] + v[i][e]
+        fitness = evaluate(x)
+        for i in range(n):
+            if fitness[i] < pf[i]:
+                p[i] = x[i][:]
+                pf[i] = fitness[i]
+        f_g = min(pf)
+        f_delta = 0.0 if f_prev == 0.0 else (f_prev - f_g) / abs(f_prev)
+        best_hist.append(f_g)
+        delta_hist.append(f_delta)
+        choices.append(nb)
+        f_prev = f_g
+        if f_delta >= params.epsilon:
+            last_improve = t
+        t_s = max(last_improve, 1)
+        if t - t_s >= params.delta_window:
+            converged_at = t_s
+            break
+    return (best_hist, delta_hist, converged_at), choices, (x, v, p, pf)

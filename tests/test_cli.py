@@ -496,6 +496,11 @@ class TestCliCommands:
         offline = (analyzed / "diversity.csv").read_bytes()
         assert online == offline
         assert (analyzed / "destruction.csv").is_file()
+        # The log file itself gives the same outputs as its directory.
+        one = tmp_path / "one"
+        assert main(["analyze", str(run_out / "log.csv"), "--config", str(tiny_config),
+                     "--out", str(one)]) == 0
+        assert _tree(one) == _tree(analyzed)
 
     def test_analyze_star_log(self, tmp_path, capsys):
         logdir = tmp_path / "logs"
@@ -655,28 +660,37 @@ class TestCliCommands:
         assert (out / "diversity.csv").is_file()
         assert "unexpected failure" not in caplog.text
 
-    def test_destruction_of_non_utf8_log_exits_two(self, tmp_path, caplog):
+    def test_analyze_of_non_utf8_log_exits_two(self, tmp_path, caplog):
         path = tmp_path / "log.csv"
         path.write_bytes(b"iteration,particle,best_neighbor\r\n1,0,1\r\n1,1,\xff\r\n")
-        assert main(["destruction", str(path), "--out", str(tmp_path / "d")]) == 2
+        assert main(["analyze", str(path), "--out", str(tmp_path / "d")]) == 2
         # The bad byte is a field that is not digits, on the line it is in.
         assert caplog.messages == [
             f"{path}:3: expected 1-18 digits per field, got ['1', '1', '\ufffd']"]
 
     def test_unreadable_log_exits_two(self, tmp_path, caplog):
-        missing = tmp_path / "missing.csv"
-        folder = tmp_path / "folder.csv"
-        folder.mkdir()
-        for path, reason in ((missing, "No such file or directory"),
-                             (folder, "Is a directory")):
+        # A path that is not there is read as one log, and cannot be.
+        for path in (tmp_path / "missing.csv", tmp_path / "missing"):
             caplog.clear()
-            assert main(["destruction", str(path), "--out", str(tmp_path / "d")]) == 2
-            assert caplog.messages == [f"{path}: cannot read ({reason})"]
+            out = tmp_path / "d"
+            assert main(["analyze", str(path), "--out", str(out)]) == 2
+            assert caplog.messages == [f"{path}: cannot read (No such file or directory)"]
             assert "Traceback" not in caplog.text
+            assert not out.exists()
+
+    def test_analyze_reads_a_log_file_strictly(self, tmp_path, caplog):
+        # A directory search skips a CSV that is not a log; named, it is an error.
+        path = tmp_path / "notes.csv"
+        path.write_bytes(b"a,b\r\n1,2\r\n")
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        assert len(caplog.messages) == 1
+        assert caplog.messages[0].startswith(f"{path}:1: expected header line ")
+        assert not out.exists()
 
     def test_jobs_is_a_sweep_flag(self, tmp_path, capsys):
         logfile = tmp_path / "log.csv"
-        for argv in (["run"], ["analyze", str(tmp_path)], ["destruction", str(logfile)]):
+        for argv in (["run"], ["analyze", str(tmp_path)], ["analyze", str(logfile)]):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--jobs", "2", "--out", str(tmp_path / "out")])
             assert exc.value.code == 2
@@ -696,39 +710,33 @@ class TestCliCommands:
             b"iteration,particle,best_neighbor\r\n1,0,0\r\n1,1,0\r\n1,2,0\r\n"
         )
         assert main(["analyze", str(logdir), "--out", str(tmp_path / "a")]) == 2
-        assert main(["destruction", str(logdir / "log.csv"),
-                     "--out", str(tmp_path / "d")]) == 2
+        assert main(["analyze", str(logdir / "log.csv"), "--out", str(tmp_path / "d")]) == 2
 
     def test_destruction_surface(self, tiny_config, tmp_path):
+        # One log in a directory with another: analyzing the directory
+        # would write both logs' outputs to one place, the file alone not.
         run_out = tmp_path / "run"
         assert main(["run", "--config", str(tiny_config),
                      "--out", str(run_out)]) == 0
+        io.write_interaction_log(run_out / "other.csv",
+                                 InteractionLog(np.array([[1, 0, 0], [2, 2, 1]])))
         out = tmp_path / "surface"
         code = main([
-            "destruction", str(run_out / "log.csv"),
+            "analyze", str(run_out / "log.csv"),
             "--config", str(tiny_config), "--out", str(out),
         ])
         assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["destruction.csv", "diversity.csv"]
         lines = (out / "destruction.csv").read_text().splitlines()
         assert lines[0] == "t_w,threshold,component_count"
         windows = {int(line.split(",")[0]) for line in lines[1:]}
         assert windows == {4, 8}
 
-    def test_destruction_failed_write_leaves_no_out(self, tiny_config, tmp_path,
-                                                     monkeypatch, caplog):
-        run_out = tmp_path / "run"
-        assert main(["run", "--config", str(tiny_config), "--out", str(run_out)]) == 0
-
-        def disk_full(path, curves):
-            path.write_text("t_w,thresh")
-            raise OSError("No space left on device")
-
-        monkeypatch.setattr(io, "write_destruction_surface", disk_full)
-        out = tmp_path / "surface" / "deep"
-        assert main(["destruction", str(run_out / "log.csv"),
-                     "--config", str(tiny_config), "--out", str(out)]) == 2
-        assert "No space left on device" in caplog.text
-        assert not (tmp_path / "surface").exists()
+    def test_destruction_is_not_a_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["destruction", str(tmp_path / "log.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'destruction'" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
@@ -773,7 +781,7 @@ class TestOfflineOnlineEquivalence:
         assert value == result.id_values[-1]
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "analyze", "destruction"])
+@pytest.mark.parametrize("command", ["run", "sweep", "analyze"])
 def test_command_imports_no_module_while_it_runs(tmp_path, tiny_config, command):
     # Every module a command needs comes with `import swarmnet.cli`, so no
     # command pays an import (scipy above all) inside its timed part.
@@ -782,7 +790,6 @@ def test_command_imports_no_module_while_it_runs(tmp_path, tiny_config, command)
         "run": ["run"],
         "sweep": ["sweep", "--jobs", "1"],
         "analyze": ["analyze", str(tmp_path / "r")],
-        "destruction": ["destruction", str(tmp_path / "r" / "log.csv")],
     }[command] + ["--config", str(tiny_config), "--out", str(tmp_path / "o")]
     code = ("import json, sys\n"
             "import swarmnet.cli\n"

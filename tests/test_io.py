@@ -260,6 +260,17 @@ def test_empty_file_names_missing_header(tmp_path):
         io.read_interaction_log(path)
 
 
+def test_log_that_cannot_be_opened_is_an_input_error(tmp_path):
+    missing = tmp_path / "missing.csv"
+    folder = tmp_path / "log.csv"
+    folder.mkdir()
+    for path, reason in ((missing, "No such file or directory"),
+                         (folder, "Is a directory")):
+        with pytest.raises(InputError) as exc:
+            io.read_interaction_log(path)
+        assert str(exc.value) == f"{path}: cannot read ({reason})"
+
+
 def test_header_error_quotes_the_bytes_read(tmp_path):
     path = _write(tmp_path, "lf", _file(ROWS, eol="\n"))
     expected = (f"{path}:1: expected header line "

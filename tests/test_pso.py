@@ -9,6 +9,8 @@ from functools import partial
 import numpy as np
 import pytest
 
+from oracle import oracle_pso
+from swarmnet import pso
 from swarmnet.benchmarks import FunctionId, Objective, ObjectiveSpec, make_objective
 from swarmnet.errors import ConfigurationError, NonFiniteFitnessError
 from swarmnet.pso import (
@@ -536,3 +538,71 @@ class TestRun:
         for row in log.choices:
             for i, choice in enumerate(row):
                 assert int(choice) in neighbor_sets[i]
+
+
+class _CoarseSphere:
+    """Sphere rounded down to a multiple of 1000: personal bests tie often,
+    and the global best stalls, so a run converges."""
+
+    dimension = 3
+    bounds = (-100.0, 100.0)
+    row_kernel = None
+
+    def evaluate_many(self, xs):
+        return np.floor((xs * xs).sum(axis=1) / 1000.0)
+
+
+_ORACLE_TOPOLOGIES = [(TopologyKind.RING, None), (TopologyKind.VON_NEUMANN, None),
+                      (TopologyKind.K_REGULAR, 5), (TopologyKind.GLOBAL, None)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestOracle:
+    """pso.run against oracle_pso, bit for bit: the trace, the log, and the
+    final swarm, which run keeps in the Swarm that initialize_swarm built."""
+
+    def _check(self, monkeypatch, objective, kind, k, params, threads=1):
+        swarms = []
+
+        def keep(*args):
+            swarms.append(initialize_swarm(*args))
+            return swarms[-1]
+
+        monkeypatch.setattr(pso, "initialize_swarm", keep)
+        g = build_topology(kind, params.swarm_size, k)
+        trace, log = run(objective, g, params, threads=threads)
+        (best, delta, converged_at), choices, (x, v, p, pf) = oracle_pso(
+            objective, kind.value, k, params)
+        assert _bits(trace.global_best_fitness) == _bits(best)
+        assert _bits(trace.fitness_improvement) == _bits(delta)
+        assert trace.converged_at == converged_at
+        assert log.choices.tolist() == choices
+        swarm, = swarms
+        for ours, theirs in ((swarm.positions, x), (swarm.velocities, v),
+                             (swarm.pbest, p), (swarm.pbest_fitness, pf)):
+            assert _bits(ours) == _bits(theirs)
+        return trace
+
+    @pytest.mark.parametrize("kind,k", _ORACLE_TOPOLOGIES)
+    @pytest.mark.parametrize("fid", list(FunctionId))
+    def test_run_matches_oracle(self, monkeypatch, fid, kind, k):
+        objective = make_objective(ObjectiveSpec(fid, dimension=10, group_size=5))
+        params = PsoParams(swarm_size=12, t_max=40, rng_seed=7)
+        self._check(monkeypatch, objective, kind, k, params)
+
+    @pytest.mark.parametrize("kind,k", _ORACLE_TOPOLOGIES)
+    def test_ties_and_convergence_match_oracle(self, monkeypatch, kind, k):
+        params = PsoParams(swarm_size=12, t_max=40, delta_window=10, rng_seed=7)
+        trace = self._check(monkeypatch, _CoarseSphere(), kind, k, params)
+        assert trace.converged_at is not None
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_row_blocks_match_oracle(self, monkeypatch, threads):
+        n, d = 64, 1024
+        assert n * d >= pso._THREAD_FLOOR
+        objective = make_objective(ObjectiveSpec(FunctionId.F2, dimension=d))
+        params = PsoParams(swarm_size=n, t_max=3, rng_seed=7)
+        self._check(monkeypatch, objective, TopologyKind.RING, None, params, threads)
