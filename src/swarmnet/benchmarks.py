@@ -53,8 +53,8 @@ _SHIFT_MARGIN = 0.8
 class ObjectiveSpec:
     """Identifies one benchmark instance: function, size, and generation seed."""
 
-    function_id: FunctionId
-    dimension: int
+    function_id: FunctionId = FunctionId.F2
+    dimension: int = 1000
     group_size: int = 50
     domain_seed: int = 1
 

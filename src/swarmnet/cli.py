@@ -2,15 +2,14 @@
 
 All subcommands share the same flags: `--config` points at a key=value
 file (defaults apply when omitted), `--set key=value` overrides single
-fields, `--seed` overrides the base seed, and `--out` names the output
-directory. Only `sweep` takes `--jobs`, which bounds its worker pool.
-`analyze` takes one log file, or a directory whose logs it reads one per
-forked worker, on as many workers as there are CPUs or logs, whichever
-is fewer. Each set of files a command
-writes, such as a cell's three or all of analyze's, goes through
-io.write_all_replacing, whole or not at all.
-`-v` and `-vv` set the level of the `swarmnet` logger. Exit codes: 0 on
-success, 1 for configuration problems, 2 for runtime failures.
+fields, and `--out` names the output directory. Only `sweep` takes
+`--jobs`, which bounds its worker pool. `analyze` takes one log file, or
+a directory whose logs it reads one per forked worker, on as many
+workers as there are CPUs or logs, whichever is fewer. Each set of files
+a command writes, such as a cell's three or all of analyze's, goes
+through io.write_all_replacing, whole or not at all. `-v` and `-vv` set
+the level of the `swarmnet` logger. Exit codes: 0 on success, 1 for
+configuration problems, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from pathlib import Path
 from . import interaction, io
 from .config import load_config
 from .errors import ConfigurationError, SwarmnetError
-from .experiment import ExperimentConfig, available_cpus, ordered_map, run_cell, run_sweep
+from .experiment import available_cpus, ordered_map, run_cell, run_sweep
 from .topology import label
 
 log = logging.getLogger("swarmnet")
@@ -38,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", metavar="KEY=VALUE", action="append",
                         dest="overrides", default=[],
                         help="override one config field (repeatable)")
-    common.add_argument("--seed", metavar="N", type=int, default=None,
-                        help="override base_seed")
     common.add_argument("-v", "--verbose", action="count", default=0,
                         help="increase log verbosity (-v info, -vv debug)")
 
@@ -62,15 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> ExperimentConfig:
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"base_seed={args.seed}")
-    return load_config(args.config, overrides)
-
-
 def cmd_run(args) -> int:
-    config = _load(args)
+    config = load_config(args.config, args.overrides)
     if len(config.topologies) != 1:
         raise ConfigurationError(
             "run executes a single cell; configure exactly one topology "
@@ -94,7 +84,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load(args)
+    config = load_config(args.config, args.overrides)
     out = Path(args.out)
     _, summaries = run_sweep(config, out, jobs=args.jobs)
     io.write_all_replacing([(out / "summary.csv", io.write_summary, summaries)])
@@ -123,7 +113,7 @@ def _analyze_log(path, config):
 
 
 def cmd_analyze(args) -> int:
-    config = _load(args)
+    config = load_config(args.config, args.overrides)
     # A directory is searched for logs; any other path is read as one log,
     # whose outputs go straight into --out.
     source = Path(args.logs)

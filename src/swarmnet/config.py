@@ -1,8 +1,9 @@
 """Flat key=value configuration files and command-line overrides.
 
 A config file holds one `key = value` pair per line with `#` comments.
-Every key has a default, so an empty file is a valid full-scale setup
-(100 particles, t_max 10000, c1 = c2 = 2.05, epsilon 1e-5, delta 500).
+`FIELDS` lists the keys: each names the dataclass field it sets and how
+its value is parsed. A key left out keeps its dataclass default, so an
+empty file is the paper's full-scale protocol, `ExperimentConfig()`.
 Values never nest; lists are comma-separated, with no empty item.
 Overrides given as `key=value` strings replace file values and are
 validated identically.
@@ -17,30 +18,6 @@ from .benchmarks import FunctionId, ObjectiveSpec
 from .errors import ConfigurationError
 from .experiment import ExperimentConfig, TopologySpec
 from .topology import TopologyKind
-
-PAPER_TOPOLOGY_SWEEP = (
-    "ring,von_neumann,k_regular:5,k_regular:6,k_regular:7,k_regular:8,"
-    "k_regular:9,k_regular:10,k_regular:20,k_regular:30,k_regular:40,"
-    "k_regular:50,k_regular:60,k_regular:70,k_regular:80,k_regular:90,global"
-)
-
-DEFAULTS = {
-    "function": "f2",
-    "dimension": "1000",
-    "group_size": "50",
-    "domain_seed": "1",
-    "c1": "2.05",
-    "c2": "2.05",
-    "swarm_size": "100",
-    "t_max": "10000",
-    "epsilon": "1e-5",
-    "delta_window": "500",
-    "topologies": PAPER_TOPOLOGY_SWEEP,
-    "windows": "10,25,50,75,100",
-    "repetitions": "30",
-    "id_sample_stride": "1",
-    "base_seed": "1",
-}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -62,7 +39,7 @@ def parse_config_file(path) -> dict[str, str]:
                 f"{path}:{line_no}: expected key = value, got {line.strip()!r}"
             )
         key, value = (part.strip() for part in text.split("=", 1))
-        if key not in DEFAULTS:
+        if key not in FIELDS:
             raise ConfigurationError(f"{path}:{line_no}: unknown field {key!r}")
         raw[key] = value
     return raw
@@ -75,101 +52,102 @@ def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]
         if "=" not in item:
             raise ConfigurationError(f"override must be key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in DEFAULTS:
+        if key not in FIELDS:
             raise ConfigurationError(f"unknown field {key!r} in override")
         merged[key] = value
     return merged
 
 
-def _as_int(raw: dict[str, str], key: str) -> int:
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigurationError(f"field {key!r}: expected integer, got {raw[key]!r}")
+def _parser(convert, refusal: str):
+    """convert as a parser whose ValueError reads refusal, {text} filled in."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(refusal.format(text=repr(text))) from None
+    return parse
 
 
-def _as_float(raw: dict[str, str], key: str) -> float:
-    try:
-        return float(raw[key])
-    except ValueError:
-        raise ConfigurationError(f"field {key!r}: expected number, got {raw[key]!r}")
-
-
-def _parse_topology_entry(entry: str) -> TopologySpec:
+def _topology_entry(entry: str) -> TopologySpec:
     name, sep, arg = entry.partition(":")
     name = name.strip()
     try:
         kind = TopologyKind(name)
     except ValueError:
         valid = ", ".join(k.value for k in TopologyKind)
-        raise ConfigurationError(
-            f"field 'topologies': unknown kind {name!r}, expected one of {valid}"
-        )
+        raise ValueError(f"unknown kind {name!r}, expected one of {valid}") from None
     if kind is TopologyKind.K_REGULAR:
         if not sep:
-            raise ConfigurationError(
-                "field 'topologies': k_regular needs a degree, e.g. k_regular:6"
-            )
+            raise ValueError("k_regular needs a degree, e.g. k_regular:6")
         try:
             return TopologySpec(kind, int(arg))
         except ValueError:
-            raise ConfigurationError(
-                f"field 'topologies': bad degree {arg!r} for k_regular"
-            )
+            raise ValueError(f"bad degree {arg!r} for k_regular") from None
     if sep:
-        raise ConfigurationError(
-            f"field 'topologies': {name} does not take a degree, got {entry!r}"
-        )
+        raise ValueError(f"{name} does not take a degree, got {entry!r}")
     return TopologySpec(kind)
 
 
-def _parse_list(raw: dict[str, str], key: str, parse) -> tuple:
-    """parse(item) for each comma-separated item of field key, stripped; an
-    empty item, as in "10,,25", "10,25," or "", is refused."""
-    items = [s.strip() for s in raw[key].split(",")]
+def _items(text: str) -> list[str]:
+    """The comma-separated items of text, stripped; an empty item, as in
+    "10,,25", "10,25," or "", is refused."""
+    items = [s.strip() for s in text.split(",")]
     if "" in items:
-        raise ConfigurationError(f"field {key!r}: empty item in list {raw[key]!r}")
+        raise ValueError(f"empty item in list {text!r}")
+    return items
+
+
+def _topologies(text: str) -> tuple[TopologySpec, ...]:
+    return tuple(map(_topology_entry, _items(text)))
+
+
+def _windows(text: str) -> tuple[int, ...]:
+    items = _items(text)
     try:
-        return tuple(map(parse, items))
-    except ValueError:  # from int; a topology entry raises its own error
-        raise ConfigurationError(f"field {key!r}: expected integers, got {raw[key]!r}")
+        return tuple(map(int, items))
+    except ValueError:
+        raise ValueError(f"expected integers, got {text!r}") from None
+
+
+_int = _parser(int, "expected integer, got {text}")
+_float = _parser(float, "expected number, got {text}")
+_function = _parser(lambda text: FunctionId(text.strip().lower()),
+                    "unknown value {text}, expected one of "
+                    + ", ".join(f.value for f in FunctionId))
+
+# key -> (the dataclass it sets, its field there, its parser), in parse order
+FIELDS = {
+    "function": ("objective", "function_id", _function),
+    "dimension": ("objective", "dimension", _int),
+    "group_size": ("objective", "group_size", _int),
+    "domain_seed": ("objective", "domain_seed", _int),
+    "c1": ("params", "c1", _float),
+    "c2": ("params", "c2", _float),
+    "swarm_size": ("params", "swarm_size", _int),
+    "t_max": ("params", "t_max", _int),
+    "epsilon": ("params", "epsilon", _float),
+    "delta_window": ("params", "delta_window", _int),
+    "topologies": ("config", "topologies", _topologies),
+    "repetitions": ("config", "repetitions", _int),
+    "windows": ("config", "windows", _windows),
+    "id_sample_stride": ("config", "id_sample_stride", _int),
+    "base_seed": ("config", "base_seed", _int),
+}
 
 
 def build_config(raw: dict[str, str]) -> ExperimentConfig:
-    """Typed, validated experiment config from raw strings plus defaults."""
-    merged = dict(DEFAULTS)
-    merged.update(raw)
-    try:
-        function_id = FunctionId(merged["function"].strip().lower())
-    except ValueError:
-        valid = ", ".join(f.value for f in FunctionId)
-        raise ConfigurationError(
-            f"field 'function': unknown value {merged['function']!r}, "
-            f"expected one of {valid}"
-        )
-    objective = ObjectiveSpec(
-        function_id=function_id,
-        dimension=_as_int(merged, "dimension"),
-        group_size=_as_int(merged, "group_size"),
-        domain_seed=_as_int(merged, "domain_seed"),
-    )
-    params = pso.PsoParams(
-        c1=_as_float(merged, "c1"),
-        c2=_as_float(merged, "c2"),
-        swarm_size=_as_int(merged, "swarm_size"),
-        t_max=_as_int(merged, "t_max"),
-        epsilon=_as_float(merged, "epsilon"),
-        delta_window=_as_int(merged, "delta_window"),
-    )
-    config = ExperimentConfig(
-        objective=objective,
-        topologies=_parse_list(merged, "topologies", _parse_topology_entry),
-        params=params,
-        repetitions=_as_int(merged, "repetitions"),
-        windows=_parse_list(merged, "windows", int),
-        id_sample_stride=_as_int(merged, "id_sample_stride"),
-        base_seed=_as_int(merged, "base_seed"),
-    )
+    """Typed, validated experiment config from raw strings; a key not in
+    raw keeps its dataclass default."""
+    parts = {"objective": {}, "params": {}, "config": {}}
+    for key, (part, name, parse) in FIELDS.items():
+        if key in raw:
+            try:
+                parts[part][name] = parse(raw[key])
+            except ValueError as exc:
+                raise ConfigurationError(f"field {key!r}: {exc}") from None
+    config = ExperimentConfig(objective=ObjectiveSpec(**parts["objective"]),
+                              params=pso.PsoParams(**parts["params"]),
+                              **parts["config"])
     config.validate()
     return config
 

@@ -44,11 +44,24 @@ class TopologySpec:
     k: int | None = None
 
 
+# The paper's sweep from ring to global (Kennedy & Mendes, CEC 2002).
+PAPER_TOPOLOGIES = (
+    TopologySpec(topology.TopologyKind.RING),
+    TopologySpec(topology.TopologyKind.VON_NEUMANN),
+    *(TopologySpec(topology.TopologyKind.K_REGULAR, k)
+      for k in (*range(5, 11), *range(20, 100, 10))),
+    TopologySpec(topology.TopologyKind.GLOBAL),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    objective: ObjectiveSpec
-    topologies: tuple[TopologySpec, ...]
-    params: pso.PsoParams
+    """One sweep's setup; the defaults are the paper's protocol."""
+
+    objective: ObjectiveSpec = ObjectiveSpec()
+    topologies: tuple[TopologySpec, ...] = PAPER_TOPOLOGIES
+    # a factory: PsoParams is mutable, so one shared default would leak edits
+    params: pso.PsoParams = dataclasses.field(default_factory=pso.PsoParams)
     repetitions: int = 30
     windows: tuple[int, ...] = (10, 25, 50, 75, 100)
     id_sample_stride: int = 1

@@ -52,8 +52,10 @@ from .errors import ConfigurationError, NonFiniteFitnessError
 
 
 def constriction_factor(c1: float, c2: float) -> float:
-    """Velocity damping coefficient; requires c1 + c2 > 4 for a real root."""
+    """Velocity damping coefficient; needs a finite c1 + c2 > 4 for a real root."""
     phi = c1 + c2
+    if not math.isfinite(phi):
+        raise ValueError(f"constriction requires finite c1 and c2, got c1={c1}, c2={c2}")
     if phi <= 4.0:
         raise ValueError(f"constriction requires c1 + c2 > 4, got phi={phi}")
     return 2.0 / abs(2.0 - phi - math.sqrt(phi * phi - 4.0 * phi))

@@ -12,16 +12,17 @@ import pytest
 
 import swarmnet
 from swarmnet import cli, experiment, io, pso
-from swarmnet.benchmarks import FunctionId, ObjectiveSpec
+from swarmnet.benchmarks import FunctionId
 from swarmnet.cli import main
 from swarmnet.config import (
+    FIELDS,
     apply_overrides,
     build_config,
     load_config,
     parse_config_file,
 )
 from swarmnet.errors import ConfigurationError, InputError
-from swarmnet.experiment import ExperimentConfig, run_cell
+from swarmnet.experiment import ExperimentConfig, TopologySpec, run_cell
 from swarmnet.interaction import interaction_diversity
 from swarmnet.pso import InteractionLog
 from swarmnet.topology import TopologyKind
@@ -115,15 +116,23 @@ class TestConfigParsing:
         assert cfg.objective.group_size == 50
         assert cfg.repetitions == 30
         assert cfg.windows == (10, 25, 50, 75, 100)
-        assert len(cfg.topologies) == 17
+        k_regular = [TopologySpec(TopologyKind.K_REGULAR, k)
+                     for k in (5, 6, 7, 8, 9, 10, 20, 30, 40, 50, 60, 70, 80, 90)]
+        assert cfg.topologies == (TopologySpec(TopologyKind.RING),
+                                  TopologySpec(TopologyKind.VON_NEUMANN),
+                                  *k_regular, TopologySpec(TopologyKind.GLOBAL))
 
     def test_defaults_equal_library_defaults(self):
         # dataclass equality compares every field, the derived chi included
-        cfg = load_config()
-        assert cfg.params == pso.PsoParams()
-        assert cfg.objective == ObjectiveSpec(cfg.objective.function_id,
-                                              cfg.objective.dimension)
-        assert cfg == ExperimentConfig(cfg.objective, cfg.topologies, cfg.params)
+        assert load_config() == build_config({}) == ExperimentConfig()
+
+    def test_readme_config_example_lists_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n# experiment.cfg\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "experiment.cfg"
+        path.write_text(block)
+        assert parse_config_file(path).keys() == FIELDS.keys()
+        load_config(path)
 
     def test_no_file_means_defaults(self):
         cfg = load_config(None, ["dimension=10"])
@@ -321,7 +330,7 @@ class TestCliCommands:
         assert code == 1
 
     @pytest.mark.parametrize("args,message", [
-        (["--seed", "-1"], "base_seed must be >= 0, got -1"),
+        (["--set", "base_seed=-1"], "base_seed must be >= 0, got -1"),
         (["--set", "function=f2", "--set", "domain_seed=-3"],
          "domain_seed must be >= 0, got -3"),
         (["--set", "domain_seed=-3"], "domain_seed must be >= 0, got -3"),
@@ -341,14 +350,34 @@ class TestCliCommands:
         assert main(["run", "--config", str(tiny_config),
                      "--out", str(out_a)]) == 0
         assert main(["run", "--config", str(tiny_config),
-                     "--out", str(out_b), "--seed", "99"]) == 0
+                     "--out", str(out_b), "--set", "base_seed=99"]) == 0
         assert main(["run", "--config", str(tiny_config),
-                     "--out", str(out_c), "--seed", "99"]) == 0
+                     "--out", str(out_c), "--set", "base_seed=99"]) == 0
         a = (out_a / "trace.csv").read_bytes()
         b = (out_b / "trace.csv").read_bytes()
         c = (out_c / "trace.csv").read_bytes()
         assert a != b
         assert b == c
+
+    def test_seed_is_not_a_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--seed", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("c1=nan", "c1=nan, c2=2.05"),
+        ("c2=inf", "c1=2.05, c2=inf"),
+    ])
+    def test_non_finite_acceleration_is_a_configuration_error(
+            self, tiny_config, tmp_path, caplog, override, message):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config), "--set", override,
+                     "--out", str(out)]) == 1
+        assert caplog.messages == [
+            f"configuration error: constriction requires finite c1 and c2, got {message}"
+        ]
+        assert not out.exists()
 
     def test_sweep_layout_and_summary(self, tiny_config, tmp_path):
         out = tmp_path / "sweep"

@@ -38,16 +38,18 @@ class TestConstriction:
         )
 
     def test_requires_phi_above_four(self):
-        with pytest.raises(ValueError):
-            constriction_factor(2.0, 2.0)
+        for c1 in (2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                constriction_factor(c1, 2.0)
 
     def test_params_derive_chi(self):
         params = PsoParams()
         assert params.chi == pytest.approx(0.7298437881283576, abs=1e-15)
 
     def test_params_reject_small_phi(self):
-        with pytest.raises(ConfigurationError):
-            PsoParams(c1=1.0, c2=1.0)
+        for c1 in (1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError):
+                PsoParams(c1=c1, c2=1.0)
 
     def test_chi_cannot_be_set(self):
         with pytest.raises(TypeError):
