@@ -3,7 +3,7 @@
 All subcommands share the same flags: `--config` points at a key=value
 file (defaults apply when omitted), `--set key=value` overrides single
 fields, and `--out` names the output directory. Only `sweep` takes
-`--jobs`, which bounds its worker pool. `analyze` takes one log file, or
+`--jobs`, which bounds its forked workers. `analyze` takes one log file, or
 a directory whose logs it reads one per forked worker, on as many
 workers as there are CPUs or logs, whichever is fewer. Each set of files
 a command writes, such as a cell's three or all of analyze's, goes
@@ -15,6 +15,7 @@ configuration problems, 2 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401 -- else argparse's gettext imports it inside main
 import logging
 import sys
 from pathlib import Path

@@ -5,9 +5,9 @@ with seeds fanned out as base_seed + repetition so any cell can be
 reproduced in isolation. Each run samples interaction diversity on a
 configurable iteration stride (stride 1 measures every iteration) and
 records the per-iteration relative fitness improvement. Cells are
-independent; they are mapped in order, over a worker pool or not, each
-task writes its own cell's files, and only the cell's scalars come back,
-in map order.
+independent; they are mapped in order, here or on `os.fork` workers fed
+one task at a time over pipes, each task writes its own cell's files, and
+only the cell's scalars come back, in map order.
 
 The summary interval's t quantile comes from a table for up to 100
 degrees of freedom, so a sweep of 101 or fewer repetitions never imports
@@ -20,9 +20,10 @@ import contextlib
 import dataclasses
 import functools
 import logging
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import selectors
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import interaction, pso, topology
 from .benchmarks import FunctionId, ObjectiveSpec, make_objective
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, SwarmnetError
 
 log = logging.getLogger(__name__)
 
@@ -176,20 +177,102 @@ def available_cpus() -> int:
 def ordered_map(jobs: int):
     """A `map` over `jobs` processes whose results come back in input order.
 
-    One job maps with the builtin `map`, in this process. More jobs map with
-    `ProcessPoolExecutor.map` over forked workers, whatever the platform's
-    default: they inherit the loaded modules, numpy.random among them. A
-    fork pool starts every worker at its first task, before its own thread,
-    so the caller must run no other thread then. The first task to fail, in
-    input order, raises where its result is read, and the tasks not yet
-    started are cancelled; the pool is shut down when the block ends.
+    One job is the builtin `map`, in this process. More jobs fork min(`jobs`,
+    tasks) workers with `os.fork`, while no other thread runs; they inherit
+    the function, its arguments and the loaded modules, and each idle one
+    gets the next task index over a pipe. The first task to fail, in input
+    order, raises where its result is read, with the worker's traceback as
+    its cause unless it is a SwarmnetError, and no task starts after a
+    failure comes back. A worker that dies without a result is an error
+    naming its exit status. Every worker is reaped when the block ends.
     """
     if jobs == 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=jobs,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        yield pool.map
+    workers = {}  # pid: (write end of its task pipe, read end of its result pipe)
+    try:
+        yield functools.partial(_forked_map, workers, jobs)
+    finally:
+        for pid in list(workers):
+            _reap(workers, pid)
+
+
+class _RemoteTraceback(Exception):
+    """A worker's traceback text, chained as the cause of its exception."""
+
+
+def _forked_map(workers, jobs, fn, *iterables):
+    """Fork min(`jobs`, tasks) workers for `fn`; yield the results in input order."""
+    tasks, first = list(zip(*iterables)), len(workers)
+    for _ in range(min(jobs, len(tasks))):
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # close the parent's pipe ends, this worker's and earlier ones'
+            _work(fn, tasks, task_r, result_w, [task_w, result_r, *(
+                fd for t, r in workers.values() for fd in (t, r.fileno()))])
+        os.close(task_r)
+        os.close(result_w)
+        workers[pid] = (task_w, open(result_r, "rb"))
+    idle, running, replies, sent = list(workers)[first:], {}, {}, 0  # this map's workers
+    with selectors.DefaultSelector() as ready:
+        for pid in idle:
+            ready.register(workers[pid][1], selectors.EVENT_READ, pid)
+        for index in range(len(tasks)):
+            while index not in replies:
+                while idle and sent < len(tasks):
+                    pid = idle.pop()
+                    with contextlib.suppress(BrokenPipeError):  # it died: its EOF comes next
+                        os.write(workers[pid][0], b"%d\n" % sent)
+                    running[pid], sent = sent, sent + 1
+                for key, _ in ready.select():
+                    try:
+                        ok, _ = replies[running.pop(key.data)] = pickle.load(key.fileobj)
+                    except (EOFError, pickle.UnpicklingError):  # it died
+                        raise SwarmnetError(f"worker {key.data} ended without sending its "
+                                            f"result ({_reap(workers, key.data)})") from None
+                    idle.append(key.data)
+                    if not ok:
+                        sent = len(tasks)  # every task before it is running already
+            ok, value = replies.pop(index)
+            if not ok:
+                raise value[0] from (_RemoteTraceback(value[1]) if value[1] else None)
+            yield value
+
+
+def _work(fn, tasks, task_fd, result_fd, inherited) -> None:
+    """A worker's life, which ends in `os._exit`: run each task whose index
+    comes on `task_fd` and pickle (ok, value) to `result_fd`, until the pipe
+    ends. A failed task's value is its exception and traceback text."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(task_fd, "rb") as indices, open(result_fd, "wb") as results:
+            for line in indices:
+                try:
+                    data = pickle.dumps((True, fn(*tasks[int(line)])))
+                except BaseException as exc:
+                    text = None if isinstance(exc, SwarmnetError) else traceback.format_exc()
+                    data = pickle.dumps((False, (exc, text)))
+                results.write(data)
+                results.flush()
+        code = 0
+    except (BrokenPipeError, KeyboardInterrupt):
+        pass  # the parent stopped reading: a task failed, or it was interrupted
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _reap(workers, pid) -> str:
+    """Close the parent's pipe ends of worker `pid`, wait for it, say how it ended."""
+    tasks, results = workers.pop(pid)
+    os.close(tasks)
+    results.close()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
 
 
 def run_cell(config: ExperimentConfig, spec: TopologySpec,

@@ -87,6 +87,12 @@ class PsoParams:
             raise ConfigurationError(f"t_max must be >= 1, got {self.t_max}")
         if not self.epsilon > 0.0:
             raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.epsilon == math.inf:
+            raise ConfigurationError("epsilon must be finite, got inf")
+        if self.c1 < 0.0 or self.c2 < 0.0:
+            raise ConfigurationError(
+                f"c1 and c2 must be >= 0, got c1={self.c1}, c2={self.c2}"
+            )
         if self.delta_window < 1:
             raise ConfigurationError(
                 f"delta_window must be >= 1, got {self.delta_window}"

@@ -3,8 +3,10 @@
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,21 @@ def _run_cell_failing_at_global_1(config, spec, repetition, threads=1):
     return _run_cell(config, spec, repetition, threads=threads)
 
 
+def _run_cell_killed_at_rep_1(config, spec, repetition, threads=1):
+    if repetition == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _run_cell(config, spec, repetition, threads=threads)
+
+
+def _no_child_left():
+    """True when this process has no child, live or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -76,16 +93,19 @@ def tiny_config(tmp_path):
 
 @pytest.fixture
 def pool_workers(monkeypatch):
-    """The max_workers of each process pool `ordered_map` builds."""
-    workers = []
-    pool = experiment.ProcessPoolExecutor
+    """The number of workers each `ordered_map` map forks."""
+    counts = []
+    forked_map = experiment._forked_map
 
-    def spy(max_workers, **kwargs):
-        workers.append(max_workers)
-        return pool(max_workers=max_workers, **kwargs)
+    def spy(workers, *args):
+        before = len(workers)
+        try:
+            yield from forked_map(workers, *args)
+        finally:
+            counts.append(len(workers) - before)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", spy)
-    return workers
+    monkeypatch.setattr(experiment, "_forked_map", spy)
+    return counts
 
 
 @pytest.fixture
@@ -379,6 +399,22 @@ class TestCliCommands:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["epsilon=inf"], "epsilon must be finite, got inf"),
+        (["c1=-100", "c2=106"], "c1 and c2 must be >= 0, got c1=-100.0, c2=106.0"),
+        (["c1=-1", "c2=5.2"], "c1 and c2 must be >= 0, got c1=-1.0, c2=5.2"),
+        (["c1=5.2", "c2=-1"], "c1 and c2 must be >= 0, got c1=5.2, c2=-1.0"),
+    ])
+    def test_infinite_epsilon_or_negative_acceleration_is_a_configuration_error(
+            self, tiny_config, tmp_path, caplog, overrides, message):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(tiny_config), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert caplog.messages == [f"configuration error: {message}"]
+        assert not out.exists()
+
     def test_sweep_layout_and_summary(self, tiny_config, tmp_path):
         out = tmp_path / "sweep"
         code = main([
@@ -486,6 +522,31 @@ class TestCliCommands:
             for cell in (Path("sphere", label, f"rep_{rep}") for label, rep in cells)
         ]
 
+    def test_sweep_and_analyze_reap_their_workers(self, tiny_config, tmp_path,
+                                                   monkeypatch, pool_workers):
+        monkeypatch.setattr(cli, "available_cpus", lambda: 2)
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", "--jobs", "2", "--config", str(tiny_config),
+                     "--out", str(sweep)]) == 0
+        assert _no_child_left()
+        assert main(["analyze", str(sweep), "--config", str(tiny_config),
+                     "--out", str(tmp_path / "analyzed")]) == 0
+        assert _no_child_left()
+        assert pool_workers == [2, 2]
+
+    def test_worker_killed_by_a_signal_exits_two(self, tiny_config, tmp_path,
+                                                 monkeypatch, caplog):
+        # Forked workers inherit the patched module global.
+        monkeypatch.setattr(experiment, "run_cell", _run_cell_killed_at_rep_1)
+        start = time.perf_counter()
+        assert main(["sweep", "--jobs", "2", "--config", str(tiny_config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 5
+        assert _no_child_left()
+        assert len(caplog.messages) == 1
+        assert caplog.messages[0].endswith(
+            "ended without sending its result (killed by signal 9)")
+
     def test_failed_sweep_keeps_finished_cells(self, tiny_config, tmp_path, monkeypatch):
         argv = ["sweep", "--jobs", "2", "--config", str(tiny_config),
                 "--set", "topologies=ring,global", "--set", "repetitions=3"]
@@ -495,6 +556,7 @@ class TestCliCommands:
         monkeypatch.setattr(experiment, "run_cell", _run_cell_failing_at_global_1)
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
+        assert _no_child_left()
         partial = _tree(out)
         cells = {path.parent for path in partial}
         # Map order yields global rep 1's failure only after every earlier
@@ -828,6 +890,16 @@ def test_command_imports_no_module_while_it_runs(tmp_path, tiny_config, command)
     rc, imported = json.loads(_python(["-c", code, *argv]).splitlines()[-1])
     assert rc == 0
     assert imported == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # Workers are forked with os.fork and fed over pipes: neither
+    # multiprocessing nor concurrent.futures' process pool, nor the socket
+    # module they pull in, is loaded.
+    code = ("import sys, swarmnet.cli\n"
+            "print([name for name in ('multiprocessing', 'concurrent.futures.process',"
+            " 'socket') if name in sys.modules])\n")
+    assert _python(["-c", code]).split() == ["[]"]
 
 
 def test_scipy_is_imported_only_above_the_t_table():

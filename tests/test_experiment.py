@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -15,13 +17,14 @@ from scipy import special, stats
 import swarmnet
 from swarmnet import experiment, io
 from swarmnet.benchmarks import FunctionId, ObjectiveSpec
-from swarmnet.errors import ConfigurationError, InputError
+from swarmnet.errors import ConfigurationError, InputError, SwarmnetError
 from swarmnet.experiment import (
     ExperimentConfig,
     TopologySpec,
     _average_ranks,
     _confidence_interval,
     correlate,
+    ordered_map,
     run_cell,
     run_sweep,
     spearman,
@@ -297,6 +300,87 @@ def _failing_cell(config, spec, repetition, threads=1):
     time.sleep(0.3)
 
 
+def _no_child_left():
+    """True when this process has no child, live or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception cannot be pickled")
+
+
+def _task(x):
+    """ordered_map task: x squared, or a failure chosen by x."""
+    if x == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if x == "value":
+        raise ValueError("task failed")
+    if x == "input":
+        raise InputError("bad input")
+    if x == "unpicklable":
+        raise _Unpicklable()
+    if x == "lambda":
+        return lambda: None
+    return x * x
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_results_come_back_in_input_order(self, jobs):
+        with ordered_map(jobs) as mapped:
+            assert list(mapped(_task, range(20))) == [x * x for x in range(20)]
+            assert list(mapped(_task, [])) == []
+            # a second map runs on its own workers, not on the first map's
+            assert list(mapped(len, ["ab", "c"])) == [2, 1]
+        assert _no_child_left()
+
+    def test_results_larger_than_a_pipe_buffer(self):
+        with ordered_map(2) as mapped:
+            assert list(mapped(len, [b"x" * (1 << 20), b"y" * 3])) == [1 << 20, 3]
+        assert _no_child_left()
+
+    def test_first_failure_in_input_order_keeps_the_worker_traceback(self):
+        with pytest.raises(ValueError, match="task failed") as exc:
+            with ordered_map(2) as mapped:
+                results = mapped(_task, [1, 2, "value", "input", 5])
+                assert [next(results), next(results)] == [1, 4]
+                next(results)
+        cause = exc.value.__cause__
+        assert type(cause).__name__ == "_RemoteTraceback"
+        assert 'in _task\n    raise ValueError("task failed")' in str(cause)
+        assert _no_child_left()
+
+    def test_swarmnet_error_comes_back_without_a_traceback(self):
+        with pytest.raises(InputError, match="bad input") as exc:
+            with ordered_map(2) as mapped:
+                list(mapped(_task, [1, "input", 3]))
+        assert exc.value.__cause__ is None
+        assert _no_child_left()
+
+    def test_unpicklable_result_is_the_task_failure(self):
+        with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+            with ordered_map(2) as mapped:
+                list(mapped(_task, [1, "lambda"]))
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("task, how", [("kill", "killed by signal 9"),
+                                           ("unpicklable", "exit status 1")])
+    def test_worker_that_dies_without_a_result_is_an_error(self, task, how, capfd):
+        start = time.perf_counter()
+        with pytest.raises(SwarmnetError, match=rf"ended without sending its result \({how}\)"):
+            with ordered_map(2) as mapped:
+                list(mapped(_task, [1, task, 3, 4]))
+        assert time.perf_counter() - start < 5
+        assert _no_child_left()
+        if task == "unpicklable":
+            assert "this exception cannot be pickled" in capfd.readouterr().err
+
+
 class TestSweep:
     def test_completeness_and_order(self, tmp_path):
         cfg = _config(topologies=(
@@ -372,6 +456,7 @@ class TestSweep:
         started = sorted(p.name for p in starts.iterdir())
         assert "ring_0" in started
         assert len(started) < 8, started
+        assert _no_child_left()
 
     def test_workers_fork_under_a_forkserver_default(self, tmp_path, monkeypatch):
         # From Python 3.14 the default on Linux is forkserver, whose

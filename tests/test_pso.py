@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -60,10 +61,27 @@ class TestConstriction:
             dict(swarm_size=2),
             dict(t_max=0),
             dict(epsilon=0.0),
+            dict(epsilon=math.inf),
             dict(delta_window=0),
+            dict(c1=-100.0, c2=106.0),
+            dict(c1=5.2, c2=-1.0),
         ):
             with pytest.raises(ConfigurationError):
                 PsoParams(**kwargs).validate()
+
+    @pytest.mark.parametrize("epsilon, message", [
+        (-1.0, "epsilon must be > 0, got -1.0"),
+        (math.nan, "epsilon must be > 0, got nan"),
+        (-math.inf, "epsilon must be > 0, got -inf"),
+        (math.inf, "epsilon must be finite, got inf"),
+    ])
+    def test_epsilon_messages(self, epsilon, message):
+        with pytest.raises(ConfigurationError) as exc:
+            PsoParams(epsilon=epsilon).validate()
+        assert str(exc.value) == message
+
+    def test_social_only_acceleration_is_valid(self):
+        PsoParams(c1=0.0, c2=4.1).validate()
 
 
 class TestFitnessImprovement:
@@ -447,9 +465,14 @@ class TestRun:
         assert np.all(quiet < params.epsilon)
 
     def test_infinite_epsilon_converges_immediately(self):
+        # An infinite epsilon is refused; the largest finite one is above
+        # every relative improvement, so the first iteration converges.
         g = build_topology(TopologyKind.RING, 6)
         params = PsoParams(swarm_size=6, t_max=1000, epsilon=math.inf,
                            delta_window=25)
+        with pytest.raises(ConfigurationError, match="epsilon must be finite"):
+            run(self._sphere(), g, params)
+        params.epsilon = sys.float_info.max
         trace, log = run(self._sphere(), g, params)
         assert trace.converged_at == 1
         assert len(log) == 1 + params.delta_window
