@@ -135,19 +135,18 @@ def cmd_analyze(args) -> int:
                 f"logs {other} and {path} would both write to "
                 f"{out / path.parent.relative_to(log_dir)}"
             )
-    # Write nothing until every log is analyzed, so a bad log leaves no
-    # partial tree; each worker holds one log at a time, and the first log
-    # in sorted order that fails is the error raised. Then all the files
-    # are written in one write_all_replacing, so a failed write leaves
-    # none of them either.
-    with ordered_map(min(available_cpus(), len(files))) as analyze:
-        analyzed = list(analyze(_analyze_log, files, [config] * len(files)))
+    # Each log's files are written under .part names as its result arrives,
+    # while the workers read later logs, and renamed only once all are
+    # written: a bad log or a failed write leaves no file, and the first log
+    # in sorted order that fails is the error raised. Zipping the results
+    # first lets the map, and its workers, end when its last result is read.
     dests = [out / path.parent.relative_to(log_dir) for path in files]
-    outputs = []
-    for dest, ((iters, values), rows) in zip(dests, analyzed):
-        outputs += [(dest / "diversity.csv", io.write_diversity_series, iters, values),
-                    (dest / "destruction.csv", io.write_destruction_surface, rows)]
-    io.write_all_replacing(outputs)
+    with ordered_map(min(available_cpus(), len(files))) as analyze:
+        analyzed = analyze(_analyze_log, files, [config] * len(files))
+        io.write_all_replacing(
+            item for ((iters, values), rows), dest in zip(analyzed, dests) for item in (
+                (dest / "diversity.csv", io.write_diversity_series, iters, values),
+                (dest / "destruction.csv", io.write_destruction_surface, rows)))
     for path, dest in zip(files, dests):
         log.info("analyzed %s -> %s", path, dest)
     print(f"analyzed {len(files)} log(s) into {out}")

@@ -179,20 +179,25 @@ def ordered_map(jobs: int):
 
     One job is the builtin `map`, in this process. More jobs fork min(`jobs`,
     tasks) workers with `os.fork`, while no other thread runs; they inherit
-    the function, its arguments and the loaded modules, and each idle one
-    gets the next task index over a pipe. The first task to fail, in input
-    order, raises where its result is read, with the worker's traceback as
-    its cause unless it is a SwarmnetError, and no task starts after a
-    failure comes back. A worker that dies without a result is an error
-    naming its exit status. Every worker is reaped when the block ends.
+    the function, its arguments and the loaded modules. Each worker gets its
+    first task index over a pipe right after its fork, and the next one with
+    each result it sends back; once no task is left for it, or a failure has
+    come back, its pipe is closed and it exits while the others work. The
+    first task to fail, in input order, raises where its result is read,
+    with the worker's traceback as its cause unless it is a SwarmnetError,
+    and no task starts after a failure comes back. A worker that dies
+    without a result is an error naming its exit status. When the block
+    ends, every task pipe still open is closed, then every worker reaped.
     """
     if jobs == 1:
         yield map
         return
-    workers = {}  # pid: (write end of its task pipe, read end of its result pipe)
+    workers = {}  # pid: [write end of its task pipe, None once closed; read end of its results]
     try:
         yield functools.partial(_forked_map, workers, jobs)
     finally:
+        for pipes in workers.values():
+            _release(pipes)
         for pid in list(workers):
             _reap(workers, pid)
 
@@ -203,41 +208,55 @@ class _RemoteTraceback(Exception):
 
 def _forked_map(workers, jobs, fn, *iterables):
     """Fork min(`jobs`, tasks) workers for `fn`; yield the results in input order."""
-    tasks, first = list(zip(*iterables)), len(workers)
+    tasks, running, replies, sent = list(zip(*iterables)), {}, {}, 0  # running: pid: index
     for _ in range(min(jobs, len(tasks))):
         task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
         pid = os.fork()
-        if pid == 0:  # close the parent's pipe ends, this worker's and earlier ones'
+        if pid == 0:  # close the parent's pipe ends still open, this worker's and earlier ones'
             _work(fn, tasks, task_r, result_w, [task_w, result_r, *(
-                fd for t, r in workers.values() for fd in (t, r.fileno()))])
+                fd for t, r in workers.values() for fd in (t, r.fileno()) if fd is not None)])
         os.close(task_r)
         os.close(result_w)
-        workers[pid] = (task_w, open(result_r, "rb"))
-    idle, running, replies, sent = list(workers)[first:], {}, {}, 0  # this map's workers
+        workers[pid] = [task_w, open(result_r, "rb")]
+        sent = _send(workers, running, pid, sent)
     with selectors.DefaultSelector() as ready:
-        for pid in idle:
+        for pid in running:
             ready.register(workers[pid][1], selectors.EVENT_READ, pid)
         for index in range(len(tasks)):
             while index not in replies:
-                while idle and sent < len(tasks):
-                    pid = idle.pop()
-                    with contextlib.suppress(BrokenPipeError):  # it died: its EOF comes next
-                        os.write(workers[pid][0], b"%d\n" % sent)
-                    running[pid], sent = sent, sent + 1
                 for key, _ in ready.select():
                     try:
                         ok, _ = replies[running.pop(key.data)] = pickle.load(key.fileobj)
                     except (EOFError, pickle.UnpicklingError):  # it died
                         raise SwarmnetError(f"worker {key.data} ended without sending its "
                                             f"result ({_reap(workers, key.data)})") from None
-                    idle.append(key.data)
                     if not ok:
                         sent = len(tasks)  # every task before it is running already
+                    if sent < len(tasks):
+                        sent = _send(workers, running, key.data, sent)
+                    else:  # none left for it: unwatched, so its exit reads as no death
+                        ready.unregister(key.fileobj)
+                        _release(workers[key.data])
             ok, value = replies.pop(index)
             if not ok:
                 raise value[0] from (_RemoteTraceback(value[1]) if value[1] else None)
             yield value
+
+
+def _send(workers, running, pid, index) -> int:
+    """Give worker `pid` task `index`; return the next index."""
+    with contextlib.suppress(BrokenPipeError):  # it died: its EOF comes next
+        os.write(workers[pid][0], b"%d\n" % index)
+    running[pid] = index
+    return index + 1
+
+
+def _release(pipes) -> None:
+    """Close a worker's task pipe if it is open, so the worker exits at its end."""
+    if pipes[0] is not None:
+        os.close(pipes[0])
+        pipes[0] = None
 
 
 def _work(fn, tasks, task_fd, result_fd, inherited) -> None:
@@ -268,9 +287,9 @@ def _work(fn, tasks, task_fd, result_fd, inherited) -> None:
 
 def _reap(workers, pid) -> str:
     """Close the parent's pipe ends of worker `pid`, wait for it, say how it ended."""
-    tasks, results = workers.pop(pid)
-    os.close(tasks)
-    results.close()
+    pipes = workers.pop(pid)
+    _release(pipes)
+    pipes[1].close()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
 

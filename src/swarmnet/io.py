@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import os
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from itertools import takewhile
 from pathlib import Path
@@ -86,33 +86,35 @@ def write_interaction_log(path, log: InteractionLog) -> None:
             fh.write(lead + lead.join([h + ends[b] for h, b in zip(heads, row)]))
 
 
-def write_all_replacing(files: list[tuple]) -> None:
+def write_all_replacing(files: Iterable[tuple]) -> None:
     """write(temporary path, *args) for each (path, write, *args) of files,
-    in the missing parent directories, which are made first; then, once all
-    are written, each file renamed to its path.
+    an iterable read as it comes, in its path's missing parent directories,
+    made just before; then, once all are written, each file renamed to its
+    path.
 
     The temporary names end in PART_SUFFIX, not .csv, so a write cut short
     leaves no file that find_log_files or a reader of path would take. A
-    write that raises renames no file of the set: its temporary files are
-    deleted, then the directories made here that are left empty, deepest
-    first, and the exception goes on.
+    write, or a read of files, that raises renames no file of the set: its
+    temporary files are deleted, then the directories made here that are
+    left empty, deepest first, each step tried whatever the others do, and
+    the exception goes on.
     """
-    made, parts = [], []  # directories made here, parents first; temporary files
+    made, written = [], []  # directories made here, parents first; (path, temporary path)
     try:
-        for directory in dict.fromkeys(path.parent for path, *_ in files):
-            missing = takewhile(lambda d: not d.is_dir(), (directory, *directory.parents))
+        for path, write, *args in files:
+            missing = takewhile(lambda d: not d.is_dir(), path.parents)
             for new in reversed(list(missing)):
                 with suppress(FileExistsError):  # made meanwhile by another process
                     new.mkdir()
                     made.append(new)
-        for path, write, *args in files:
-            parts.append(path.with_name(path.name + PART_SUFFIX))
-            write(parts[-1], *args)
-        for (path, *_), part in zip(files, parts):
+            written.append((path, path.with_name(path.name + PART_SUFFIX)))
+            write(written[-1][1], *args)
+        for path, part in written:
             os.replace(part, path)
     except BaseException:
-        for part in parts:
-            part.unlink(missing_ok=True)
+        for _, part in written:
+            with suppress(OSError):  # not written, or under a path that is no directory
+                part.unlink()
         for directory in reversed(made):
             with suppress(OSError):  # one not empty stays
                 directory.rmdir()

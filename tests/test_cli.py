@@ -341,6 +341,19 @@ class TestCliCommands:
         assert (out / "diversity.csv").is_file()
         assert "final fitness" in capsys.readouterr().out
 
+    def test_run_into_a_file_reports_the_writes_error(self, tmp_path, caplog):
+        # --out names a file: the write fails, and so would the clean-up of
+        # its .part file; the write's own error is the one logged.
+        target = tmp_path / "F"
+        target.write_text("")
+        assert main(["run", "--set", "dimension=10", "--set", "t_max=5",
+                     "--set", "topologies=ring", "--out", str(target)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+        assert target.read_text() == ""
+        assert f"NotADirectoryError: [Errno 20] Not a directory: '{target / 'log.csv'}" \
+            in caplog.text
+        assert "During handling" not in caplog.text
+
     def test_run_requires_single_topology(self, tiny_config, tmp_path):
         code = main([
             "run", "--config", str(tiny_config),
@@ -643,6 +656,43 @@ class TestCliCommands:
         assert main(["analyze", str(logdir), "--set", "windows=1",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_analyze_bad_last_log_leaves_no_part_file(self, tmp_path, monkeypatch,
+                                                      caplog):
+        # The last log in sorted order is bad: the first two logs' .part
+        # files are written by the time it fails, and are deleted with the
+        # directories made for them, at either worker count.
+        write_destruction = io.write_destruction_surface
+        written = []
+
+        def spy(path, curves):
+            written.append(path)
+            return write_destruction(path, curves)
+
+        monkeypatch.setattr(io, "write_destruction_surface", spy)
+        logdir = tmp_path / "logs"
+        for name in ("a", "b", "c"):
+            (logdir / name).mkdir(parents=True)
+            io.write_interaction_log(logdir / name / "log.csv",
+                                     InteractionLog(np.array([[1, 0, 0], [2, 2, 1]])))
+        bad = logdir / "c" / "log.csv"
+        bad.write_bytes(bad.read_bytes()[:-3])
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "available_cpus", lambda cpus=cpus: cpus)
+            caplog.clear()
+            written.clear()
+            out = tmp_path / f"out{cpus}"
+            assert main(["analyze", str(logdir), "--set", "windows=1",
+                         "--out", str(out)]) == 2
+            assert [(p.parent.name, p.name) for p in written] == [
+                ("a", "destruction.csv" + io.PART_SUFFIX),
+                ("b", "destruction.csv" + io.PART_SUFFIX)]
+            assert not out.exists()
+            messages.append(caplog.messages)
+        assert list(tmp_path.rglob("*" + io.PART_SUFFIX)) == []
+        assert len(messages[0]) == 1 and messages[0][0].startswith(f"{bad}:")
+        assert messages[0] == messages[1]
 
     def test_analyze_cut_write_leaves_no_output_file(self, tmp_path, monkeypatch):
         # The second log's write fails part-way: the first log's files,

@@ -326,6 +326,8 @@ def _task(x):
         raise _Unpicklable()
     if x == "lambda":
         return lambda: None
+    if x == "pid":
+        return os.getpid()
     return x * x
 
 
@@ -366,6 +368,25 @@ class TestOrderedMap:
         with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
             with ordered_map(2) as mapped:
                 list(mapped(_task, [1, "lambda"]))
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_workers_exit_once_no_task_is_left(self, jobs):
+        # Each worker gets a task right after its fork, and its task pipe is
+        # closed with its last result: once the last result is read, every
+        # worker exits while the block, and the map, are still open.
+        with ordered_map(jobs) as mapped:
+            tasks = ["pid"] * (2 * jobs + 1)
+            results = mapped(_task, tasks)
+            pids = {next(results) for _ in tasks}
+            assert len(pids) == jobs
+            deadline, left = time.monotonic() + 5, pids
+            while left and time.monotonic() < deadline:
+                time.sleep(0.01)
+                left = {pid for pid in left if os.waitid(
+                    os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None}
+            assert not left
+            results.close()
         assert _no_child_left()
 
     @pytest.mark.parametrize("task, how", [("kill", "killed by signal 9"),

@@ -13,6 +13,7 @@ import re
 import signal
 import tracemalloc
 from io import StringIO
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -541,6 +542,56 @@ def test_cell_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
     assert sorted(p.name for p in cell.iterdir()) == [
         "diversity.csv", "log.csv", "trace.csv"]
     assert io.read_run_trace(cell / "trace.csv")[0].tolist() == [1, 2]
+
+
+def _relative_tree(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+def test_write_all_replacing_reads_its_files_as_they_come(tmp_path):
+    # Each item's directories are made and its file written as the item
+    # comes; no file takes its final name while the items are being read.
+    seen = []
+
+    def files():
+        for name in ("a", "b"):
+            seen.append(_relative_tree(tmp_path))
+            yield tmp_path / "out" / name / "f.csv", Path.write_text, name
+        seen.append(_relative_tree(tmp_path))
+
+    io.write_all_replacing(files())
+    part = "f.csv" + io.PART_SUFFIX
+    assert seen == [[], ["out", "out/a", f"out/a/{part}"],
+                    ["out", "out/a", f"out/a/{part}", "out/b", f"out/b/{part}"]]
+    assert _relative_tree(tmp_path) == ["out", "out/a", "out/a/f.csv", "out/b", "out/b/f.csv"]
+    assert (tmp_path / "out" / "b" / "f.csv").read_text() == "b"
+
+
+def test_write_all_replacing_cleans_up_when_its_files_raise(tmp_path):
+    # An error raised by the items after the first file is written leaves
+    # no .part file and none of the directories made for it.
+    (tmp_path / "kept").mkdir()
+
+    def files():
+        yield tmp_path / "kept" / "new" / "deeper" / "a.csv", Path.write_text, "a"
+        raise InputError("bad log")
+
+    with pytest.raises(InputError, match="bad log"):
+        io.write_all_replacing(files())
+    assert _relative_tree(tmp_path) == ["kept"]
+
+
+def test_failed_cleanup_step_neither_hides_the_error_nor_skips_a_step(tmp_path):
+    # The write under a file fails, and so does deleting its .part file:
+    # the write's own error goes on, and the directory made for the first
+    # file is still removed.
+    (tmp_path / "F").write_text("")
+    with pytest.raises(NotADirectoryError) as exc:
+        io.write_all_replacing([(tmp_path / "new" / "a.csv", Path.write_text, "a"),
+                                (tmp_path / "F" / "b.csv", Path.write_text, "b")])
+    assert exc.value.__context__ is None
+    assert exc.value.filename.endswith("b.csv" + io.PART_SUFFIX)
+    assert _relative_tree(tmp_path) == ["F"]
 
 
 def test_find_log_files_takes_the_readers_header(tmp_path):
