@@ -67,20 +67,13 @@ def cmd_run(args) -> int:
             "run executes a single cell; configure exactly one topology "
             f"(got {len(config.topologies)})"
         )
-    result = run_cell(config, config.topologies[0], repetition=0,
-                      threads=available_cpus())
-    io.write_cell(args.out, result)
-    record = result.record
-    status = (
-        f"converged at {result.trace.converged_at}"
-        if record.converged else "reached t_max"
-    )
-    print(
-        f"{record.function_id.value} {record.label}: "
-        f"final fitness {io.fmt(record.final_fitness)}, "
-        f"mean ID {io.fmt(record.mean_id)}, {status} "
-        f"after {len(result.log)} iterations"
-    )
+    record = run_cell(config, config.topologies[0], 0, args.out, threads=available_cpus())
+    t_s = record.converged_at
+    status = (f"reached t_max after {config.params.t_max}" if t_s is None else
+              f"converged at {t_s} after {t_s + config.params.delta_window}")
+    print(f"{record.function_id.value} {record.label}: "
+          f"final fitness {io.fmt(record.final_fitness)}, "
+          f"mean ID {io.fmt(record.mean_id)}, {status} iterations")
     return 0
 
 

@@ -6,8 +6,8 @@ reproduced in isolation. Each run samples interaction diversity on a
 configurable iteration stride (stride 1 measures every iteration) and
 records the per-iteration relative fitness improvement. Cells are
 independent; they are mapped in order, here or on `os.fork` workers fed
-one task at a time over pipes, each task writes its own cell's files, and
-only the cell's scalars come back, in map order.
+one task at a time over pipes. Each task writes its cell's files and
+sends back the record `read_cell` reads from them, in map order.
 
 The summary interval's t quantile comes from a table for up to 100
 degrees of freedom, so a sweep of 101 or fewer repetitions never imports
@@ -91,22 +91,30 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"id_sample_stride must be >= 1, got {self.id_sample_stride}"
             )
-        labels = set()
-        for spec in self.topologies:
-            graph = topology.build_topology(spec.kind, self.params.swarm_size, spec.k)
-            name = topology.label(graph.kind, graph.k)
-            if name in labels:
+        labels = self.labels()
+        for k, name in enumerate(labels):
+            if name in labels[:k]:
                 # both cells would write the same output directory
                 raise ConfigurationError(f"topology {name} is listed more than once")
-            labels.add(name)
+
+    def labels(self) -> list[str]:
+        """Each topology's label, with its degree resolved for swarm_size."""
+        n = self.params.swarm_size
+        graphs = (topology.build_topology(s.kind, n, s.k) for s in self.topologies)
+        return [topology.label(g.kind, g.k) for g in graphs]
 
     def seed_for(self, repetition: int) -> int:
         return self.base_seed + repetition
 
 
+def cell_path(function_id: FunctionId, label: str, repetition: int) -> str:
+    """A cell's directory under a sweep's output directory."""
+    return f"{function_id.value}/{label}/rep_{repetition}"
+
+
 class CellRecord(NamedTuple):
-    """The scalars of one cell that a sweep sends back: what `summarize`
-    reads, and where the cell's files are.
+    """The scalars of one cell, as `read_cell` reads them from its files:
+    what `summarize` reads, and where the cell's files are.
 
     A NamedTuple rather than a frozen dataclass because every import of
     the package defines it: about 0.15 ms against 1 ms on a 2-vCPU VM.
@@ -120,7 +128,7 @@ class CellRecord(NamedTuple):
     mean_id: float
     mean_fdelta: float
     final_fitness: float
-    converged: bool
+    converged_at: int | None  # the run's t_s, None if it reached t_max
 
     @property
     def label(self) -> str:
@@ -129,19 +137,7 @@ class CellRecord(NamedTuple):
     @property
     def cell_dir(self) -> str:
         """The cell's directory under a sweep's output directory."""
-        return f"{self.function_id.value}/{self.label}/rep_{self.repetition}"
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """Everything measured in one (topology, repetition) run: its scalars,
-    and the trace, log and ID series they come from."""
-
-    record: CellRecord
-    trace: pso.RunTrace
-    log: pso.InteractionLog
-    id_iterations: np.ndarray
-    id_values: np.ndarray
+        return cell_path(self.function_id, self.label, self.repetition)
 
 
 @dataclass(frozen=True)
@@ -294,35 +290,59 @@ def _reap(workers, pid) -> str:
     return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
 
 
-def run_cell(config: ExperimentConfig, spec: TopologySpec,
-             repetition: int, threads: int = 1) -> CellResult:
-    """Execute one seeded run and measure its diversity and improvement.
+def run_cell(config: ExperimentConfig, spec: TopologySpec, repetition: int,
+             cell_dir, threads: int = 1) -> CellRecord:
+    """Execute one seeded run, write its log.csv, trace.csv and
+    diversity.csv into `cell_dir`, all or none, and return `read_cell`'s
+    record of them. `threads` bounds the threads the PSO run splits its
+    rows over; the result does not depend on it."""
+    from . import io  # not at the top: io imports this module for SummaryRow
 
-    `threads` bounds the threads the PSO run splits its rows over; the
-    result does not depend on it.
-    """
-    graph = topology.build_topology(
-        spec.kind, config.params.swarm_size, spec.k
-    )
-    seed = config.seed_for(repetition)
-    params = dataclasses.replace(config.params, rng_seed=seed)
-    objective = make_objective(config.objective)
-    trace, log = pso.run(objective, graph, params, threads=threads)
-    iters, values = interaction.diversity_series(
-        log, config.windows, config.id_sample_stride
-    )
-    record = CellRecord(
-        function_id=config.objective.function_id,
-        topology_kind=graph.kind,
-        k=graph.k,
-        repetition=repetition,
-        rng_seed=seed,
-        mean_id=float(values.mean()),
-        mean_fdelta=float(trace.fitness_improvement.mean()),
-        final_fitness=float(trace.final_fitness),
-        converged=trace.converged_at is not None,
-    )
-    return CellResult(record, trace, log, iters, values)
+    graph = topology.build_topology(spec.kind, config.params.swarm_size, spec.k)
+    params = dataclasses.replace(config.params, rng_seed=config.seed_for(repetition))
+    trace, log = pso.run(make_objective(config.objective), graph, params, threads=threads)
+    iters, values = interaction.diversity_series(log, config.windows, config.id_sample_stride)
+    cell_dir = Path(cell_dir)
+    io.write_all_replacing([
+        (cell_dir / "log.csv", io.write_interaction_log, log),
+        (cell_dir / "trace.csv", io.write_run_trace, trace),
+        (cell_dir / "diversity.csv", io.write_diversity_series, iters, values),
+    ])
+    return read_cell(cell_dir, config, spec, repetition)
+
+
+def read_cell(cell_dir, config: ExperimentConfig, spec: TopologySpec,
+              repetition: int) -> CellRecord:
+    """The record of the cell that `run_cell` wrote into `cell_dir`: the
+    means and final fitness of its trace.csv and diversity.csv, exact as
+    floats are written as their repr, and converged_at by `pso.run`'s rule
+    replayed over the trace's improvements. A file that cannot be read, a
+    trace that is not the iterations 1..T of a run of this config that
+    stops at T, or ID samples off `interaction.sample_points(T, stride)`
+    is an InputError naming the file."""
+    from . import io
+
+    params, cell_dir = config.params, Path(cell_dir)
+    path = cell_dir / "trace.csv"
+    iters, f_g, f_d = io.read_run_trace(path)
+    total = len(iters)
+    improved = np.flatnonzero(f_d >= params.epsilon)
+    last_improve = int(improved[-1]) + 1 if len(improved) else 0
+    t_s = pso.converged_at(total, last_improve, params.delta_window)
+    stop = params.t_max if t_s is None else t_s + params.delta_window
+    # a run stops at its first iteration that meets the rule, so no prefix
+    # of its trace, cut at a line end, meets it at its own length
+    if not (total == stop <= params.t_max and np.array_equal(iters, np.arange(1, total + 1))):
+        raise InputError(f"{path}: not the iterations 1..T of a run that stops at T")
+    path = cell_dir / "diversity.csv"
+    points, values = io.read_diversity_series(path)
+    if not np.array_equal(points, interaction.sample_points(total, config.id_sample_stride)):
+        raise InputError(f"{path}: expected ID every {config.id_sample_stride} "
+                         f"iteration(s) and at the last, {total}")
+    graph = topology.build_topology(spec.kind, params.swarm_size, spec.k)
+    return CellRecord(config.objective.function_id, graph.kind, graph.k, repetition,
+                      config.seed_for(repetition), float(values.mean()),
+                      float(f_d.mean()), float(f_g[-1]), t_s)
 
 
 # scipy.special.stdtrit(df, 0.975) for df = 1..100, as the repr of each
@@ -401,7 +421,7 @@ def summarize(results: list[CellRecord]) -> SummaryRow:
         id_ci_high=high,
         mean_final_fitness=float(np.mean([r.final_fitness for r in ordered])),
         mean_fdelta=float(np.mean([r.mean_fdelta for r in ordered])),
-        converged_fraction=float(np.mean([r.converged for r in ordered])),
+        converged_fraction=float(np.mean([r.converged_at is not None for r in ordered])),
     )
 
 
@@ -451,28 +471,14 @@ def spearman(x, y) -> float | None:
     return correlate(_average_ranks(x), _average_ranks(y))
 
 
-def _run_and_write_cell(config: ExperimentConfig, out: Path, threads: int,
-                        spec: TopologySpec, repetition: int) -> CellRecord:
-    """One sweep task: run the cell, write its files, return its scalars.
-
-    `run_cell` is looked up when the task runs, in the worker's copy of
-    this module.
-    """
-    from . import io  # not at the top: io imports this module for SummaryRow
-
-    result = run_cell(config, spec, repetition, threads=threads)
-    io.write_cell(out / result.record.cell_dir, result)
-    return result.record
-
-
 def run_sweep(config: ExperimentConfig, out, jobs: int = 1
               ) -> tuple[list[CellRecord], list[SummaryRow]]:
     """Run the full topology x repetition matrix into `out`.
 
     The config and `jobs` are checked before anything is created. Cells are
-    mapped in (topology order, repetition) order. Each task writes its cell
-    with `io.write_cell` into out/`CellRecord.cell_dir` and sends back only
-    its `CellRecord`; records come back, and are logged at INFO, in map
+    mapped in (topology order, repetition) order. Each task is `run_cell`
+    into out/`cell_path(...)` and sends back the `CellRecord` it read from
+    the cell's files; records come back, and are logged at INFO, in map
     order, whatever order the cells finish in. The first cell to fail stops
     the cells not yet started; the cells that finished keep their files.
     Cells are mapped over min(`jobs`, cells) workers, and each worker runs
@@ -481,17 +487,16 @@ def run_sweep(config: ExperimentConfig, out, jobs: int = 1
     config.validate()
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    reps = config.repetitions
-    specs = [spec for spec in config.topologies for _ in range(reps)]
-    repetitions = [rep for _ in config.topologies for rep in range(reps)]
-    workers = min(jobs, len(specs))
-    cell = functools.partial(_run_and_write_cell, config, Path(out),
-                             max(1, available_cpus() // workers))
+    reps, fid = config.repetitions, config.objective.function_id
+    tasks = [(spec, rep, Path(out, cell_path(fid, label, rep)))
+             for spec, label in zip(config.topologies, config.labels()) for rep in range(reps)]
+    workers = min(jobs, len(tasks))
+    cell = functools.partial(run_cell, config, threads=max(1, available_cpus() // workers))
     records = []
     with ordered_map(workers) as cells:
-        for record in cells(cell, specs, repetitions):
+        for record in cells(cell, *zip(*tasks)):
             records.append(record)
             log.info("cell %s rep %d written (%d of %d)", record.label,
-                     record.repetition, len(records), len(specs))
+                     record.repetition, len(records), len(tasks))
     summaries = [summarize(records[i:i + reps]) for i in range(0, len(records), reps)]
     return records, summaries

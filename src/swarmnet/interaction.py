@@ -230,6 +230,12 @@ def interaction_diversity(log: InteractionLog, t: int,
     return DiversityReport(tuple(windows), areas, id_value)
 
 
+def sample_points(total: int, stride: int) -> np.ndarray:
+    """Every stride-th iteration before total, then total: where
+    diversity_series samples ID in a log of total iterations."""
+    return np.append(np.arange(stride, total, stride, dtype=np.int64), np.int64(total))
+
+
 def diversity_series(log: InteractionLog, windows: tuple[int, ...],
                      stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Sample ID at every stride-th iteration, always including the last.
@@ -248,9 +254,7 @@ def diversity_series(log: InteractionLog, windows: tuple[int, ...],
     total = len(log)
     if total < 1:
         raise InputError("log holds no iterations")
-    points = np.arange(stride, total + 1, stride, dtype=np.int64)
-    if not len(points) or points[-1] != total:
-        points = np.append(points, np.int64(total))
+    points = sample_points(total, stride)
     n = log.n
     nn = n * n
     # the distinct windows, ascending; one longer than the log is clipped

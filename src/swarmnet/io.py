@@ -121,18 +121,6 @@ def write_all_replacing(files: Iterable[tuple]) -> None:
         raise
 
 
-def write_cell(cell_dir, result) -> None:
-    """The log.csv, trace.csv and diversity.csv of one experiment.run_cell
-    result, in cell_dir, all of them or none; see write_all_replacing."""
-    cell_dir = Path(cell_dir)
-    write_all_replacing([
-        (cell_dir / "log.csv", write_interaction_log, result.log),
-        (cell_dir / "trace.csv", write_run_trace, result.trace),
-        (cell_dir / "diversity.csv", write_diversity_series,
-         result.id_iterations, result.id_values),
-    ])
-
-
 def _parse_error(path, line_no: int, detail: str) -> InputError:
     return InputError(f"{path}:{line_no}: {detail}")
 
@@ -153,23 +141,26 @@ def _open(path, mode="r"):
 
 
 def _rows(path, header: list[str], width: int) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each record after a checked header.
+    """Yield (line number, fields) for each line after a checked header.
 
-    Line numbers count csv records, the header being line 1.
+    Line numbers count lines, the header being line 1. A last line with no
+    line end, as in a file cut short, is an error at that line.
     """
     with _open(path) as fh:
-        reader = csv.reader(fh)
         try:
-            got = next(reader, None)
-            if got != header:
-                raise _parse_error(path, 1, f"expected header {header}, got {got}")
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    raise _parse_error(path, line_no,
-                                       f"expected {width} fields, got {len(row)}")
-                yield line_no, row
+            lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise _not_text(path, exc) from None
+    if lines and not lines[-1].endswith(("\n", "\r")):
+        raise _parse_error(path, len(lines), "line does not end in a line end")
+    reader = csv.reader(lines)
+    got = next(reader, None)
+    if got != header:
+        raise _parse_error(path, 1, f"expected header {header}, got {got}")
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise _parse_error(path, line_no, f"expected {width} fields, got {len(row)}")
+        yield line_no, row
 
 
 # Body bytes per parse chunk, cut at a line end. A chunk's index arrays

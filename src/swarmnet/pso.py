@@ -175,6 +175,14 @@ def fitness_improvement(f_prev: float, f_curr: float) -> float:
     return (f_prev - f_curr) / abs(f_prev)
 
 
+def converged_at(t: int, last_improve: int, delta_window: int) -> int | None:
+    """The convergence rule at iteration t, given the last iteration with an
+    improvement >= epsilon (0 if none): t_s = max(that, 1) if t - t_s >=
+    delta_window, else None."""
+    t_s = max(last_improve, 1)
+    return t_s if t - t_s >= delta_window else None
+
+
 def _check_finite(fitness: np.ndarray) -> None:
     if not np.isfinite(fitness).all():
         bad = int(np.flatnonzero(~np.isfinite(fitness))[0])
@@ -313,8 +321,8 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams,
 
     Convergence is declared at iteration t_s when the relative improvement
     stays below epsilon for every iteration in (t_s, t_s + delta_window];
-    the run then stops at t_s + delta_window. The trace and log cover
-    exactly the executed iterations 1..T.
+    the run then stops at t_s + delta_window (see `converged_at`). The
+    trace and log cover exactly the executed iterations 1..T.
 
     Above `_THREAD_FLOOR` coordinates, each step splits its rows over up to
     `threads` threads; the result is the same at every thread count.
@@ -336,7 +344,6 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams,
     fd_hist: list[float] = []
     choice_hist = np.empty((params.t_max, n), dtype=np.int64)
     last_improve = 0
-    converged_at: int | None = None
 
     # The pool lives for this run only: a module-level pool would be
     # inherited without its threads by every process a sweep forks. It
@@ -355,15 +362,14 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams,
             f_prev = f_g
             if f_delta >= params.epsilon:
                 last_improve = t
-            t_s = max(last_improve, 1)
-            if t - t_s >= params.delta_window:
-                converged_at = t_s
+            t_s = converged_at(t, last_improve, params.delta_window)
+            if t_s is not None:
                 break
 
     trace = RunTrace(
         global_best_fitness=np.array(fg_hist),
         fitness_improvement=np.array(fd_hist),
-        converged_at=converged_at,
+        converged_at=t_s,
         final_fitness=fg_hist[-1],
     )
     # a converged run keeps only its own rows, not the whole buffer

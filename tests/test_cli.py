@@ -1,5 +1,6 @@
 """Config parsing, file round-trips, and CLI subcommand checks."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -14,7 +15,7 @@ import pytest
 
 import swarmnet
 from swarmnet import cli, experiment, io, pso
-from swarmnet.benchmarks import FunctionId
+from swarmnet.benchmarks import FunctionId, make_objective
 from swarmnet.cli import main
 from swarmnet.config import (
     FIELDS,
@@ -24,10 +25,10 @@ from swarmnet.config import (
     parse_config_file,
 )
 from swarmnet.errors import ConfigurationError, InputError
-from swarmnet.experiment import ExperimentConfig, TopologySpec, run_cell
-from swarmnet.interaction import interaction_diversity
+from swarmnet.experiment import ExperimentConfig, TopologySpec
+from swarmnet.interaction import diversity_series, interaction_diversity
 from swarmnet.pso import InteractionLog
-from swarmnet.topology import TopologyKind
+from swarmnet.topology import TopologyKind, build_topology
 
 TINY = """
 # control setup
@@ -63,16 +64,26 @@ def _tree(out):
 _run_cell = experiment.run_cell
 
 
-def _run_cell_failing_at_global_1(config, spec, repetition, threads=1):
+def _run_cell_failing_at_global_1(config, spec, repetition, cell_dir, threads=1):
     if spec.kind is TopologyKind.GLOBAL and repetition == 1:
         raise InputError("global repetition 1 failed")
-    return _run_cell(config, spec, repetition, threads=threads)
+    return _run_cell(config, spec, repetition, cell_dir, threads=threads)
 
 
-def _run_cell_killed_at_rep_1(config, spec, repetition, threads=1):
+def _run_cell_killed_at_rep_1(config, spec, repetition, cell_dir, threads=1):
     if repetition == 1:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _run_cell(config, spec, repetition, threads=threads)
+    return _run_cell(config, spec, repetition, cell_dir, threads=threads)
+
+
+def _run_in_memory(cfg):
+    """The trace, log and ID series of run_cell's run at repetition 0,
+    computed without files."""
+    spec = cfg.topologies[0]
+    params = dataclasses.replace(cfg.params, rng_seed=cfg.seed_for(0))
+    graph = build_topology(spec.kind, params.swarm_size, spec.k)
+    trace, log = pso.run(make_objective(cfg.objective), graph, params)
+    return trace, log, *diversity_series(log, cfg.windows, cfg.id_sample_stride)
 
 
 def _no_child_left():
@@ -266,33 +277,29 @@ class TestConfigParsing:
 
 
 class TestRoundTrips:
-    def _result(self, tiny_config):
-        cfg = load_config(tiny_config)
-        return run_cell(cfg, cfg.topologies[0], 0)
-
     def test_log_round_trip(self, tiny_config, tmp_path):
-        result = self._result(tiny_config)
+        _, log, _, _ = _run_in_memory(load_config(tiny_config))
         path = tmp_path / "log.csv"
-        io.write_interaction_log(path, result.log)
+        io.write_interaction_log(path, log)
         back = io.read_interaction_log(path)
-        assert np.array_equal(back.choices, result.log.choices)
+        assert np.array_equal(back.choices, log.choices)
 
     def test_trace_round_trip(self, tiny_config, tmp_path):
-        result = self._result(tiny_config)
+        trace, log, _, _ = _run_in_memory(load_config(tiny_config))
         path = tmp_path / "trace.csv"
-        io.write_run_trace(path, result.trace)
+        io.write_run_trace(path, trace)
         iters, f_g, f_d = io.read_run_trace(path)
-        assert list(iters) == list(range(1, len(result.log) + 1))
-        assert np.array_equal(f_g, result.trace.global_best_fitness)
-        assert np.array_equal(f_d, result.trace.fitness_improvement)
+        assert list(iters) == list(range(1, len(log) + 1))
+        assert np.array_equal(f_g, trace.global_best_fitness)
+        assert np.array_equal(f_d, trace.fitness_improvement)
 
     def test_diversity_round_trip(self, tiny_config, tmp_path):
-        result = self._result(tiny_config)
+        _, _, id_iterations, id_values = _run_in_memory(load_config(tiny_config))
         path = tmp_path / "diversity.csv"
-        io.write_diversity_series(path, result.id_iterations, result.id_values)
+        io.write_diversity_series(path, id_iterations, id_values)
         iters, values = io.read_diversity_series(path)
-        assert np.array_equal(iters, result.id_iterations)
-        assert np.array_equal(values, result.id_values)
+        assert np.array_equal(iters, id_iterations)
+        assert np.array_equal(values, id_values)
 
     def test_malformed_log_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -911,15 +918,15 @@ class TestCliCommands:
 class TestOfflineOnlineEquivalence:
     def test_recomputed_diversity_identical(self, tiny_config, tmp_path):
         cfg = load_config(tiny_config)
-        result = run_cell(cfg, cfg.topologies[0], 0)
+        _, log, _, id_values = _run_in_memory(cfg)
         path = tmp_path / "log.csv"
-        io.write_interaction_log(path, result.log)
+        io.write_interaction_log(path, log)
         back = io.read_interaction_log(path)
         total = len(back)
         value = interaction_diversity(
             back, total, tuple(min(w, total) for w in cfg.windows)
         ).id_value
-        assert value == result.id_values[-1]
+        assert value == id_values[-1]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "analyze"])

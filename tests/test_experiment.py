@@ -1,8 +1,10 @@
 """Sweep-harness, statistics, and seed fan-out checks."""
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -15,23 +17,26 @@ import pytest
 from scipy import special, stats
 
 import swarmnet
-from swarmnet import experiment, io
-from swarmnet.benchmarks import FunctionId, ObjectiveSpec
+from swarmnet import experiment, io, pso
+from swarmnet.benchmarks import FunctionId, ObjectiveSpec, make_objective
 from swarmnet.errors import ConfigurationError, InputError, SwarmnetError
 from swarmnet.experiment import (
+    CellRecord,
     ExperimentConfig,
     TopologySpec,
     _average_ranks,
     _confidence_interval,
     correlate,
     ordered_map,
+    read_cell,
     run_cell,
     run_sweep,
     spearman,
     summarize,
 )
+from swarmnet.interaction import diversity_series
 from swarmnet.pso import PsoParams
-from swarmnet.topology import TopologyKind
+from swarmnet.topology import TopologyKind, build_topology
 
 
 def _tree(out):
@@ -86,39 +91,53 @@ class TestConfigValidation:
         _config(topologies=(ring, TopologySpec(TopologyKind.K_REGULAR, 2))).validate()
 
 
+def _in_memory(cfg, spec, repetition):
+    """run_cell's run, diversity series and record, computed without files."""
+    graph = build_topology(spec.kind, cfg.params.swarm_size, spec.k)
+    params = dataclasses.replace(cfg.params, rng_seed=cfg.seed_for(repetition))
+    trace, log = pso.run(make_objective(cfg.objective), graph, params)
+    iters, values = diversity_series(log, cfg.windows, cfg.id_sample_stride)
+    record = CellRecord(cfg.objective.function_id, graph.kind, graph.k, repetition,
+                        cfg.seed_for(repetition), float(values.mean()),
+                        float(trace.fitness_improvement.mean()),
+                        float(trace.final_fitness), trace.converged_at)
+    return trace, log, iters, values, record
+
+
 class TestRunCell:
-    def test_seed_fan_out(self):
+    def test_seed_fan_out(self, tmp_path):
         cfg = _config()
         spec = cfg.topologies[0]
-        again = run_cell(cfg, spec, 1)
-        first = run_cell(cfg, spec, 1)
-        other = run_cell(cfg, spec, 0)
-        assert first.record.rng_seed == cfg.base_seed + 1
-        assert np.array_equal(first.log.choices, again.log.choices)
-        assert np.array_equal(first.trace.global_best_fitness,
-                              again.trace.global_best_fitness)
-        assert not np.array_equal(first.trace.global_best_fitness,
-                                  other.trace.global_best_fitness)
+        again = run_cell(cfg, spec, 1, tmp_path / "again")
+        first = run_cell(cfg, spec, 1, tmp_path / "first")
+        run_cell(cfg, spec, 0, tmp_path / "other")
+        assert first.rng_seed == again.rng_seed == cfg.base_seed + 1
+        assert _tree(tmp_path / "first") == _tree(tmp_path / "again")
+        f_g = {name: io.read_run_trace(tmp_path / name / "trace.csv")[1]
+               for name in ("first", "other")}
+        assert not np.array_equal(f_g["first"], f_g["other"])
 
-    def test_series_lengths_consistent(self):
+    def test_series_lengths_consistent(self, tmp_path):
         cfg = _config()
-        result = run_cell(cfg, cfg.topologies[0], 0)
-        total = len(result.log)
-        assert len(result.trace.global_best_fitness) == total
-        assert result.id_iterations[-1] == total
-        assert len(result.id_iterations) == len(result.id_values)
+        run_cell(cfg, cfg.topologies[0], 0, tmp_path)
+        total = len(io.read_interaction_log(tmp_path / "log.csv"))
+        iters, _, _ = io.read_run_trace(tmp_path / "trace.csv")
+        id_iterations, id_values = io.read_diversity_series(tmp_path / "diversity.csv")
+        assert len(iters) == total
+        assert id_iterations[-1] == total
+        assert len(id_iterations) == len(id_values)
 
-    def test_degenerate_stride_single_sample(self):
+    def test_degenerate_stride_single_sample(self, tmp_path):
         cfg = _config(id_sample_stride=10 ** 6)
-        result = run_cell(cfg, cfg.topologies[0], 0)
-        assert len(result.id_values) == 1
-        assert result.id_iterations[0] == len(result.log)
+        run_cell(cfg, cfg.topologies[0], 0, tmp_path)
+        id_iterations, _ = io.read_diversity_series(tmp_path / "diversity.csv")
+        assert id_iterations.tolist() == [len(io.read_interaction_log(tmp_path / "log.csv"))]
 
-    def test_resolved_degree_recorded(self):
+    def test_resolved_degree_recorded(self, tmp_path):
         cfg = _config(topologies=(TopologySpec(TopologyKind.GLOBAL),))
-        result = run_cell(cfg, cfg.topologies[0], 0)
-        assert result.record.k == 7
-        assert result.record.label == "global_7"
+        record = run_cell(cfg, cfg.topologies[0], 0, tmp_path)
+        assert record.k == 7
+        assert record.label == "global_7"
 
     def test_sphere_control_converges_on_global(self, tmp_path):
         cfg = _config(
@@ -134,13 +153,101 @@ class TestRunCell:
         assert summaries[0].converged_fraction == 1.0
 
 
+class TestReadCell:
+    def _runs(self):
+        """A config whose run converges before t_max, then the same config
+        with t_max where that run stops, where it converges exactly at t_max,
+        and one iteration lower, where it never converges."""
+        cfg = _config(objective=ObjectiveSpec(FunctionId.SPHERE, dimension=2),
+                      topologies=(TopologySpec(TopologyKind.GLOBAL),),
+                      params=PsoParams(swarm_size=8, t_max=400, delta_window=10))
+        stop = _in_memory(cfg, cfg.topologies[0], 0)[0].converged_at + 10
+        return [dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, t_max=t))
+                for t in (400, stop, stop - 1)]
+
+    def test_converged_at_agrees_with_the_run(self, tmp_path):
+        got, runs = [], self._runs()
+        for k, cfg in enumerate(runs):
+            record = run_cell(cfg, cfg.topologies[0], 0, tmp_path / str(k))
+            trace = _in_memory(cfg, cfg.topologies[0], 0)[0]
+            assert record.converged_at == trace.converged_at
+            assert read_cell(tmp_path / str(k), cfg, cfg.topologies[0], 0) == record
+            got.append(record.converged_at)
+        stop = runs[1].params.t_max
+        assert got == [stop - 10, stop - 10, None]
+
+    def test_replay_matches_the_run_on_many_runs(self, tmp_path):
+        # 2 functions x 5 seeds x 3 windows x 3 t_max x 3 epsilons = 270 runs
+        outcomes = set()
+        for fid in (FunctionId.SPHERE, FunctionId.F2):
+            for window in (2, 5, 10):
+                for t_max in (8, 20, 60):
+                    for epsilon in (1e-2, 1e-3, 1e-4):
+                        cfg = _config(
+                            objective=ObjectiveSpec(fid, dimension=10),
+                            params=PsoParams(swarm_size=12, t_max=t_max,
+                                             delta_window=window, epsilon=epsilon),
+                            repetitions=5, windows=(4,), id_sample_stride=7)
+                        for rep in range(5):
+                            cell = tmp_path / f"{fid.value}_{window}_{t_max}_{epsilon}_{rep}"
+                            got = run_cell(cfg, cfg.topologies[0], rep, cell).converged_at
+                            want = _in_memory(cfg, cfg.topologies[0], rep)[0].converged_at
+                            assert got == want, cell.name
+                            outcomes.add("never" if want is None else
+                                         "at t_max" if want + window == t_max else "early")
+        assert outcomes == {"never", "at t_max", "early"}
+
+    def test_an_improvement_equal_to_epsilon_counts(self, tmp_path):
+        # improvements at or above epsilon restart the quiet window: with
+        # t_s = 2, a run with delta_window 3 stops at 5
+        cfg = _config(params=PsoParams(swarm_size=8, t_max=30, delta_window=3, epsilon=0.5),
+                      id_sample_stride=2)
+        trace = pso.RunTrace(np.array([4.0, 2.0, 2.0, 2.0, 2.0]),
+                             np.array([0.0, 0.5, 0.0, 0.0, 0.0]), 2, 2.0)
+        io.write_run_trace(tmp_path / "trace.csv", trace)
+        io.write_diversity_series(tmp_path / "diversity.csv", np.array([2, 4, 5]),
+                                  np.array([0.5, 0.25, 0.75]))
+        record = read_cell(tmp_path, cfg, cfg.topologies[0], 1)
+        assert record == CellRecord(FunctionId.SPHERE, TopologyKind.RING, 2, 1, 6,
+                                    0.5, 0.1, 2.0, 2)
+
+    def _cell(self, tmp_path):
+        cfg = self._runs()[0]
+        run_cell(cfg, cfg.topologies[0], 0, tmp_path)
+        return cfg, lambda: read_cell(tmp_path, cfg, cfg.topologies[0], 0)
+
+    def test_missing_trace_names_the_file(self, tmp_path):
+        _, read = self._cell(tmp_path)
+        (tmp_path / "trace.csv").unlink()
+        with pytest.raises(InputError, match=re.escape(f"{tmp_path / 'trace.csv'}: cannot read")):
+            read()
+
+    @pytest.mark.parametrize("rows_kept", [0, -1, -2])
+    def test_trace_cut_at_a_line_end_names_the_file(self, tmp_path, rows_kept):
+        # rows_kept 0 leaves the header only; -1 and -2 cut the last rows
+        _, read = self._cell(tmp_path)
+        path = tmp_path / "trace.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:rows_kept or 1]))
+        with pytest.raises(InputError, match=re.escape(f"{path}: not the iterations 1..T")):
+            read()
+
+    def test_id_samples_off_the_stride_grid_name_the_file(self, tmp_path):
+        cfg, read = self._cell(tmp_path)
+        path = tmp_path / "diversity.csv"
+        points, values = io.read_diversity_series(path)
+        for bad in (points[:-1], points + 1, np.append(points, points[-1] + 1)):
+            io.write_diversity_series(path, bad, np.full(len(bad), 0.5))
+            with pytest.raises(InputError, match=re.escape(f"{path}: expected ID every")):
+                read()
+        io.write_diversity_series(path, points, values)
+        assert read() == run_cell(cfg, cfg.topologies[0], 0, tmp_path / "again")
+
+
 class TestSummarize:
-    def _results(self, mean_ids):
-        cfg = _config(repetitions=len(mean_ids))
-        return [
-            run_cell(cfg, cfg.topologies[0], rep).record._replace(mean_id=mean_id)
-            for rep, mean_id in enumerate(mean_ids)
-        ]
+    def _results(self, mean_ids, kind=TopologyKind.RING, k=2):
+        return [CellRecord(FunctionId.SPHERE, kind, k, rep, 5 + rep, mean_id, 0.01, 0.5, None)
+                for rep, mean_id in enumerate(mean_ids)]
 
     def test_zero_variance_interval(self):
         row = summarize(self._results([0.3, 0.3, 0.3]))
@@ -170,12 +277,8 @@ class TestSummarize:
         assert row.id_ci_low <= row.mean_id <= row.id_ci_high
 
     def test_mixed_cells_rejected(self):
-        cfg = _config(topologies=(
-            TopologySpec(TopologyKind.RING),
-            TopologySpec(TopologyKind.GLOBAL),
-        ))
-        a = run_cell(cfg, cfg.topologies[0], 0).record
-        b = run_cell(cfg, cfg.topologies[1], 0).record
+        (a,) = self._results([0.3])
+        (b,) = self._results([0.3], TopologyKind.GLOBAL, 7)
         with pytest.raises(InputError):
             summarize([a, b])
 
@@ -292,7 +395,7 @@ class TestCorrelation:
 _STARTS = None  # the directory _failing_cell marks each started cell in
 
 
-def _failing_cell(config, spec, repetition, threads=1):
+def _failing_cell(config, spec, repetition, cell_dir, threads=1):
     """run_cell stand-in: marks its start, fails at repetition 0, else idles."""
     (_STARTS / f"{spec.kind.value}_{repetition}").touch()
     if repetition == 0:
@@ -422,18 +525,19 @@ class TestSweep:
         )
 
     def test_records_hold_the_written_cells_scalars(self, tmp_path):
-        # two cells, so that the record comes back from a forked worker
+        # The records read back from the files, in this process and from
+        # forked workers, hold the run's in-memory scalars bit for bit.
         cfg = _config(topologies=(TopologySpec(TopologyKind.GLOBAL),), repetitions=2)
-        (record, _), _ = run_sweep(cfg, tmp_path, jobs=2)
-        result = run_cell(cfg, cfg.topologies[0], 0)
-        assert record == result.record
-        cell = tmp_path / record.cell_dir
-        assert np.array_equal(io.read_interaction_log(cell / "log.csv").choices,
-                              result.log.choices)
-        _, values = io.read_diversity_series(cell / "diversity.csv")
-        _, f_g, f_d = io.read_run_trace(cell / "trace.csv")
-        assert (record.mean_id, record.final_fitness, record.mean_fdelta) == (
-            float(values.mean()), float(f_g[-1]), float(f_d.mean()))
+        expected = [_in_memory(cfg, cfg.topologies[0], rep) for rep in range(2)]
+        for jobs in (1, 2):
+            records, _ = run_sweep(cfg, tmp_path / str(jobs), jobs=jobs)
+            assert records == [want for *_, want in expected]
+            for record, (_, log, _, _, want) in zip(records, expected):
+                # mean_id, mean_fdelta and final_fitness
+                assert [v.hex() for v in record[5:8]] == [v.hex() for v in want[5:8]]
+                cell = tmp_path / str(jobs) / record.cell_dir
+                assert np.array_equal(io.read_interaction_log(cell / "log.csv").choices,
+                                      log.choices)
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg = _config(repetitions=2)

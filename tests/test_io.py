@@ -14,7 +14,6 @@ import signal
 import tracemalloc
 from io import StringIO
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +22,11 @@ from hypothesis import strategies as st
 
 from oracle import LogError, oracle_read_log
 from swarmnet import io
+from swarmnet.benchmarks import FunctionId, ObjectiveSpec
 from swarmnet.errors import InputError
-from swarmnet.pso import InteractionLog, RunTrace
+from swarmnet.experiment import ExperimentConfig, TopologySpec, run_cell
+from swarmnet.pso import InteractionLog, PsoParams
+from swarmnet.topology import TopologyKind
 
 HEADER = "iteration,particle,best_neighbor"
 ROWS = ["1,0,1", "1,1,2", "1,2,0", "2,0,2", "2,1,0", "2,2,1"]
@@ -457,6 +459,21 @@ def test_table_readers_name_file_and_line(tmp_path, reader, header, row):
         reader(path)
 
 
+@pytest.mark.parametrize("reader,header,row", TABLES)
+def test_table_readers_refuse_a_last_line_cut_short(tmp_path, reader, header, row):
+    # Cut inside its last line, a file once read that line's shortened value.
+    path = tmp_path / "t.csv"
+    whole = ",".join(header) + "\r\n" + row + "\r\n" + row + "\r\n"
+    for cut in (2, 3, 5):
+        path.write_text(whole[:-cut], newline="")
+        expected = "t.csv:3: line does not end in a line end"
+        with pytest.raises(InputError, match=re.escape(expected) + "$"):
+            reader(path)
+    path.write_text(",".join(header), newline="")
+    with pytest.raises(InputError, match=re.escape("t.csv:1: line does not end")):
+        reader(path)
+
+
 @pytest.mark.parametrize("reader,header,row",
                          TABLES + [(io.read_interaction_log, io.LOG_HEADER, "1,0,1")])
 def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader, header, row):
@@ -481,13 +498,14 @@ def test_find_log_files_skips_files_that_are_not_text(tmp_path):
     assert io.find_log_files(tmp_path) == [tmp_path / "log.csv"]
 
 
-def _cell_result(choices):
-    """What io.write_cell reads of an experiment.run_cell result."""
-    steps = len(choices)
-    trace = RunTrace(np.linspace(1.0, 0.5, steps), np.full(steps, 0.5), None, 0.5)
-    return SimpleNamespace(log=InteractionLog(np.array(choices)), trace=trace,
-                           id_iterations=np.arange(1, steps + 1),
-                           id_values=np.full(steps, 0.25))
+def _run_cell(cell_dir, t_max):
+    """experiment.run_cell of a ring of 4 particles on a 2-d sphere for
+    t_max iterations, far fewer than its delta_window."""
+    cfg = ExperimentConfig(ObjectiveSpec(FunctionId.SPHERE, dimension=2),
+                           (TopologySpec(TopologyKind.RING),),
+                           PsoParams(swarm_size=4, t_max=t_max, delta_window=10),
+                           repetitions=1, windows=(1,))
+    return run_cell(cfg, cfg.topologies[0], 0, cell_dir)
 
 
 def test_cell_write_cut_short_leaves_no_log(tmp_path, monkeypatch):
@@ -506,13 +524,12 @@ def test_cell_write_cut_short_leaves_no_log(tmp_path, monkeypatch):
         raise OSError("write cut short")
 
     monkeypatch.setattr(io, "write_interaction_log", cut_short)
-    result = _cell_result([[1, 0], [1, 0], [1, 0]])
     with pytest.raises(OSError, match="write cut short"):
-        io.write_cell(tmp_path / "raised", result)
+        _run_cell(tmp_path / "raised", 3)
     pid = os.fork()
     if pid == 0:
         try:
-            io.write_cell(tmp_path / "killed", result)
+            _run_cell(tmp_path / "killed", 3)
         finally:
             os._exit(1)  # only if the kill never came
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == -signal.SIGKILL
@@ -532,13 +549,12 @@ def test_cell_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "write_run_trace", disk_full)
     (tmp_path / "sweep").mkdir()
     with pytest.raises(OSError, match="No space left"):
-        io.write_cell(tmp_path / "sweep" / "f2" / "ring_2" / "rep_0",
-                      _cell_result([[1, 0], [1, 0]]))
+        _run_cell(tmp_path / "sweep" / "f2" / "ring_2" / "rep_0", 2)
     assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["sweep"]
 
     monkeypatch.undo()
     cell = tmp_path / "sweep" / "f2" / "ring_2" / "rep_0"
-    io.write_cell(cell, _cell_result([[1, 0], [1, 0]]))
+    _run_cell(cell, 2)
     assert sorted(p.name for p in cell.iterdir()) == [
         "diversity.csv", "log.csv", "trace.csv"]
     assert io.read_run_trace(cell / "trace.csv")[0].tolist() == [1, 2]
