@@ -175,7 +175,10 @@ def ordered_map(jobs: int):
 
     One job is the builtin `map`, in this process. More jobs fork min(`jobs`,
     tasks) workers with `os.fork`, while no other thread runs; they inherit
-    the function, its arguments and the loaded modules. Each worker gets its
+    the function, its arguments and the loaded modules. Worker i of W pins
+    itself to share i of W of the parent's CPUs (`pso.cpu_share`), so the
+    kernel does not keep them on one CPU, and its row-block threads split
+    that share alone. Each worker gets its
     first task index over a pipe right after its fork, and the next one with
     each result it sends back; once no task is left for it, or a failure has
     come back, its pipe is closed and it exits while the others work. The
@@ -205,13 +208,15 @@ class _RemoteTraceback(Exception):
 def _forked_map(workers, jobs, fn, *iterables):
     """Fork min(`jobs`, tasks) workers for `fn`; yield the results in input order."""
     tasks, running, replies, sent = list(zip(*iterables)), {}, {}, 0  # running: pid: index
-    for _ in range(min(jobs, len(tasks))):
+    count = min(jobs, len(tasks))
+    for slot in range(count):
         task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
         pid = os.fork()
         if pid == 0:  # close the parent's pipe ends still open, this worker's and earlier ones'
             _work(fn, tasks, task_r, result_w, [task_w, result_r, *(
-                fd for t, r in workers.values() for fd in (t, r.fileno()) if fd is not None)])
+                fd for t, r in workers.values() for fd in (t, r.fileno()) if fd is not None)],
+                (slot, count))
         os.close(task_r)
         os.close(result_w)
         workers[pid] = [task_w, open(result_r, "rb")]
@@ -255,12 +260,14 @@ def _release(pipes) -> None:
         pipes[0] = None
 
 
-def _work(fn, tasks, task_fd, result_fd, inherited) -> None:
-    """A worker's life, which ends in `os._exit`: run each task whose index
+def _work(fn, tasks, task_fd, result_fd, inherited, share) -> None:
+    """A worker's life, which ends in `os._exit`: pin itself to `share`, a
+    (slot, workers) pair for `pso.pin_share`, then run each task whose index
     comes on `task_fd` and pickle (ok, value) to `result_fd`, until the pipe
     ends. A failed task's value is its exception and traceback text."""
     code = 1
     try:
+        pso.pin_share(*share)
         for fd in inherited:
             os.close(fd)
         with open(task_fd, "rb") as indices, open(result_fd, "wb") as results:
@@ -482,7 +489,8 @@ def run_sweep(config: ExperimentConfig, out, jobs: int = 1
     order, whatever order the cells finish in. The first cell to fail stops
     the cells not yet started; the cells that finished keep their files.
     Cells are mapped over min(`jobs`, cells) workers, and each worker runs
-    its cells on an equal share of the available CPUs as threads.
+    its cells on an equal share of the available CPUs as threads, pinned
+    to its share of them.
     """
     config.validate()
     if jobs < 1:

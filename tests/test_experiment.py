@@ -431,6 +431,8 @@ def _task(x):
         return lambda: None
     if x == "pid":
         return os.getpid()
+    if x == "affinity":
+        return os.getpid(), sorted(os.sched_getaffinity(0))
     return x * x
 
 
@@ -490,6 +492,19 @@ class TestOrderedMap:
                     os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None}
             assert not left
             results.close()
+        assert _no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="placement needs CPU affinity and at least 2 CPUs to tell shares apart")
+    def test_workers_run_on_disjoint_shares(self):
+        # Worker i of 2 pins itself to share i of the parent's CPUs: one CPU
+        # each on 2 CPUs. The parent's own affinity is not touched.
+        cpus = sorted(os.sched_getaffinity(0))
+        with ordered_map(2) as mapped:
+            seen = dict(mapped(_task, ["affinity"] * 6))
+        assert len(seen) == 2
+        assert sorted(seen.values()) == [pso.cpu_share(cpus, i, 2) for i in range(2)]
+        assert sorted(os.sched_getaffinity(0)) == cpus
         assert _no_child_left()
 
     @pytest.mark.parametrize("task, how", [("kill", "killed by signal 9"),

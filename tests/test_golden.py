@@ -17,6 +17,8 @@ known to be right:
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -127,6 +129,19 @@ def test_hashes_do_not_depend_on_thread_count(case, threads, tmp_path, monkeypat
         sys.setswitchinterval(interval)
     assert digests == _golden()[case]
     assert set(splits) == {threads}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_two_threads_on_one_cpu_match_golden_hashes(tmp_path):
+    # Both row-block shares of a process limited to one CPU are that CPU.
+    cpu = min(os.sched_getaffinity(0))
+    code = (f"import os, json, pathlib; os.sched_setaffinity(0, {{{cpu}}}); "
+            f"from test_golden import run_case; "
+            f"print(json.dumps(run_case('f2_ring_large', pathlib.Path({str(tmp_path)!r}), 2)))")
+    path = os.pathsep.join([str(Path(__file__).parent), str(Path(pso.__file__).parents[1])])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert json.loads(done.stdout) == _golden()["f2_ring_large"]
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import os
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -18,6 +20,7 @@ from swarmnet.pso import (
     PsoParams,
     Swarm,
     constriction_factor,
+    cpu_share,
     fitness_improvement,
     initialize_swarm,
     run,
@@ -631,3 +634,87 @@ class TestOracle:
         objective = make_objective(ObjectiveSpec(FunctionId.F2, dimension=d))
         params = PsoParams(swarm_size=n, t_max=3, rng_seed=7)
         self._check(monkeypatch, objective, TopologyKind.RING, None, params, threads)
+
+
+def _cpus():
+    """The sorted CPUs this process may run on; none without CPU affinity."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+
+needs_two_cpus = pytest.mark.skipif(
+    len(_cpus()) < 2, reason="placement needs CPU affinity and at least 2 CPUs to tell shares apart")
+
+
+class TestPlacement:
+    @pytest.fixture(autouse=True)
+    def _own_affinity(self):
+        # a test that finds the caller pinned must not pass its pin on
+        cpus = _cpus()
+        yield
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+    def test_cpu_share_table(self, c, w):
+        cpus = [2, 3, 5, 8][:c]  # sorted, not 0..c-1
+        shares = [cpu_share(cpus, i, w) for i in range(w)]
+        for share in shares:
+            assert share and share == cpus[cpus.index(share[0]):][:len(share)]
+        used = [cpu for share in shares for cpu in share]
+        if w <= c:  # a partition into near-equal runs, in order
+            assert used == cpus
+            assert max(map(len, shares)) - min(map(len, shares)) <= 1
+        else:  # one CPU each, wrapping round
+            assert all(len(share) == 1 for share in shares)
+        if w >= c:
+            assert set(used) == set(cpus)
+
+    def test_no_affinity_no_pinning(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", None, raising=False)
+        pso.pin_share(1, 2)  # reads no affinity, sets none
+
+    @needs_two_cpus
+    def test_each_pool_thread_runs_on_its_own_share(self, monkeypatch):
+        # The caller runs block 0 on its own affinity; each pool thread pins
+        # itself to one of shares 1..blocks-1, one CPU each up to 4 CPUs.
+        cpus = _cpus()
+        blocks = min(len(cpus), 4)
+        monkeypatch.setattr(pso, "_THREAD_FLOOR", 0)
+        seen = {}  # (thread, first row): affinity
+        original = pso._step_rows
+
+        def spy(swarm, choices, kernel, work, lo, hi):
+            seen[threading.get_ident(), lo] = sorted(os.sched_getaffinity(0))
+            return original(swarm, choices, kernel, work, lo, hi)
+
+        monkeypatch.setattr(pso, "_step_rows", spy)
+        objective = make_objective(ObjectiveSpec(FunctionId.F2, dimension=4))
+        run(objective, build_topology(TopologyKind.RING, 8),
+            PsoParams(swarm_size=8, t_max=20), threads=blocks)
+        caller = threading.get_ident()
+        assert {lo for _, lo in seen} == {8 * j // blocks for j in range(blocks)}
+        assert all((thread == caller) == (lo == 0) for thread, lo in seen)
+        assert seen[caller, 0] == cpus
+        pinned = {thread: tuple(cpu) for (thread, _), cpu in seen.items() if thread != caller}
+        shares = [tuple(cpu_share(cpus, i, blocks)) for i in range(1, blocks)]
+        assert len(set(pinned.values())) == len(pinned)  # distinct shares
+        assert set(pinned.values()) <= set(shares)
+        if len(cpus) <= 4:
+            assert all(len(cpu) == 1 for cpu in pinned.values())
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("explode", [False, True])
+    def test_caller_affinity_is_left_as_it_was(self, monkeypatch, explode):
+        monkeypatch.setattr(pso, "_THREAD_FLOOR", 0)
+        before = os.sched_getaffinity(0)
+        g = build_topology(TopologyKind.RING, 4)
+        params = PsoParams(swarm_size=4, t_max=10, delta_window=5)
+        if explode:
+            with pytest.raises(NonFiniteFitnessError):
+                run(_ExplodingObjective(), g, params, threads=2)
+        else:
+            run(make_objective(ObjectiveSpec(FunctionId.SPHERE, dimension=4)), g, params,
+                threads=2)
+        assert os.sched_getaffinity(0) == before
