@@ -5,11 +5,12 @@ file (defaults apply when omitted), `--set key=value` overrides single
 fields, and `--out` names the output directory. Only `sweep` takes
 `--jobs`, which bounds its forked workers. `analyze` takes one log file, or
 a directory whose logs it reads one per forked worker, on as many
-workers as there are CPUs or logs, whichever is fewer. Each set of files
-a command writes, such as a cell's three or all of analyze's, goes
-through io.write_all_replacing, whole or not at all. `-v` and `-vv` set
-the level of the `swarmnet` logger. Exit codes: 0 on success, 1 for
-configuration problems, 2 for runtime failures.
+workers as there are CPUs or logs, whichever is fewer. A run splits over
+the CPUs it may run on: a worker's share, or all of them in the parent.
+Each set of files a command writes, such as a cell's three or all of
+analyze's, goes through io.write_all_replacing, whole or not at all. `-v`
+and `-vv` set the level of the `swarmnet` logger. Exit codes: 0 on
+success, 1 for configuration problems, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from pathlib import Path
 from . import interaction, io
 from .config import load_config
 from .errors import ConfigurationError, SwarmnetError
-from .experiment import available_cpus, ordered_map, run_cell, run_sweep
+from .experiment import ordered_map, run_cell, run_sweep
+from .pso import available_cpus
 from .topology import label
 
 log = logging.getLogger("swarmnet")
@@ -67,7 +69,7 @@ def cmd_run(args) -> int:
             "run executes a single cell; configure exactly one topology "
             f"(got {len(config.topologies)})"
         )
-    record = run_cell(config, config.topologies[0], 0, args.out, threads=available_cpus())
+    record = run_cell(config, config.topologies[0], 0, args.out)
     t_s = record.converged_at
     status = (f"reached t_max after {config.params.t_max}" if t_s is None else
               f"converged at {t_s} after {t_s + config.params.delta_window}")
@@ -134,7 +136,7 @@ def cmd_analyze(args) -> int:
     # in sorted order that fails is the error raised. Zipping the results
     # first lets the map, and its workers, end when its last result is read.
     dests = [out / path.parent.relative_to(log_dir) for path in files]
-    with ordered_map(min(available_cpus(), len(files))) as analyze:
+    with ordered_map(available_cpus()) as analyze:
         analyzed = analyze(_analyze_log, files, [config] * len(files))
         io.write_all_replacing(
             item for ((iters, values), rows), dest in zip(analyzed, dests) for item in (

@@ -161,24 +161,17 @@ class SummaryRow:
         return self.repetitions < 2
 
 
-def available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def ordered_map(jobs: int):
     """A `map` over `jobs` processes whose results come back in input order.
 
-    One job is the builtin `map`, in this process. More jobs fork min(`jobs`,
-    tasks) workers with `os.fork`, while no other thread runs; they inherit
-    the function, its arguments and the loaded modules. Worker i of W pins
-    itself to share i of W of the parent's CPUs (`pso.cpu_share`), so the
-    kernel does not keep them on one CPU, and its row-block threads split
-    that share alone. Each worker gets its
+    Each map forks min(`jobs`, tasks) workers with `os.fork`, while no other
+    thread runs; they inherit the function, its arguments and the loaded
+    modules. When that is below 2 it forks none and runs the tasks in this
+    process, as the builtin `map` does. Worker i of W pins itself to share
+    i of W of the parent's CPUs (`pso.cpu_share`), so the kernel does not
+    keep them on one CPU, and its runs split their row blocks over that
+    share alone. Each worker gets its
     first task index over a pipe right after its fork, and the next one with
     each result it sends back; once no task is left for it, or a failure has
     come back, its pipe is closed and it exits while the others work. The
@@ -188,9 +181,6 @@ def ordered_map(jobs: int):
     without a result is an error naming its exit status. When the block
     ends, every task pipe still open is closed, then every worker reaped.
     """
-    if jobs == 1:
-        yield map
-        return
     workers = {}  # pid: [write end of its task pipe, None once closed; read end of its results]
     try:
         yield functools.partial(_forked_map, workers, jobs)
@@ -206,9 +196,12 @@ class _RemoteTraceback(Exception):
 
 
 def _forked_map(workers, jobs, fn, *iterables):
-    """Fork min(`jobs`, tasks) workers for `fn`; yield the results in input order."""
+    """Fork min(`jobs`, tasks) workers for `fn`, none below 2; yield the results in order."""
     tasks, running, replies, sent = list(zip(*iterables)), {}, {}, 0  # running: pid: index
     count = min(jobs, len(tasks))
+    if count < 2:
+        yield from (fn(*task) for task in tasks)
+        return
     for slot in range(count):
         task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
@@ -298,16 +291,15 @@ def _reap(workers, pid) -> str:
 
 
 def run_cell(config: ExperimentConfig, spec: TopologySpec, repetition: int,
-             cell_dir, threads: int = 1) -> CellRecord:
+             cell_dir) -> CellRecord:
     """Execute one seeded run, write its log.csv, trace.csv and
     diversity.csv into `cell_dir`, all or none, and return `read_cell`'s
-    record of them. `threads` bounds the threads the PSO run splits its
-    rows over; the result does not depend on it."""
+    record of them."""
     from . import io  # not at the top: io imports this module for SummaryRow
 
     graph = topology.build_topology(spec.kind, config.params.swarm_size, spec.k)
     params = dataclasses.replace(config.params, rng_seed=config.seed_for(repetition))
-    trace, log = pso.run(make_objective(config.objective), graph, params, threads=threads)
+    trace, log = pso.run(make_objective(config.objective), graph, params)
     iters, values = interaction.diversity_series(log, config.windows, config.id_sample_stride)
     cell_dir = Path(cell_dir)
     io.write_all_replacing([
@@ -488,9 +480,9 @@ def run_sweep(config: ExperimentConfig, out, jobs: int = 1
     the cell's files; records come back, and are logged at INFO, in map
     order, whatever order the cells finish in. The first cell to fail stops
     the cells not yet started; the cells that finished keep their files.
-    Cells are mapped over min(`jobs`, cells) workers, and each worker runs
-    its cells on an equal share of the available CPUs as threads, pinned
-    to its share of them.
+    Cells are mapped over min(`jobs`, cells) workers, each pinned to its
+    share of the CPUs, which its runs split their row blocks over; a
+    single worker is this process, on all of them.
     """
     config.validate()
     if jobs < 1:
@@ -498,11 +490,9 @@ def run_sweep(config: ExperimentConfig, out, jobs: int = 1
     reps, fid = config.repetitions, config.objective.function_id
     tasks = [(spec, rep, Path(out, cell_path(fid, label, rep)))
              for spec, label in zip(config.topologies, config.labels()) for rep in range(reps)]
-    workers = min(jobs, len(tasks))
-    cell = functools.partial(run_cell, config, threads=max(1, available_cpus() // workers))
     records = []
-    with ordered_map(workers) as cells:
-        for record in cells(cell, *zip(*tasks)):
+    with ordered_map(jobs) as cells:
+        for record in cells(functools.partial(run_cell, config), *zip(*tasks)):
             records.append(record)
             log.info("cell %s rep %d written (%d of %d)", record.label,
                      record.repetition, len(records), len(tasks))

@@ -17,13 +17,14 @@ dimension, r1-before-r2), so a (seed, config) pair fully determines every
 trace value.
 
 Row blocks: above a fixed size (`_THREAD_FLOOR` coordinates per step) a
-run splits the swarm into contiguous row blocks, one per thread, and
-hands each block one task per step: draw the block's rows of the step's
-uniforms, move those rows, and, for the row-local objectives (sphere, F2,
-F19), evaluate them with the objective's row kernel. This cannot change a
-single bit of the result because every operation split this way is
-row-local: a row's new velocity, position and fitness depend only on that
-row's inputs, in the same evaluation order as the whole-swarm expression.
+run splits the swarm into contiguous row blocks, one per CPU its thread
+may run on (`available_cpus`), and hands each block one task per step:
+draw the block's rows of the step's uniforms, move those rows, and, for
+the row-local objectives (sphere, F2, F19), evaluate them with the
+objective's row kernel. This cannot change a single bit of the result
+because every operation split this way is row-local: a row's new
+velocity, position and fitness depend only on that row's inputs, in the
+same evaluation order as the whole-swarm expression.
 Each block draws its rows from the same stream: the first block draws
 from the run generator, every other from a copy of it placed once, when
 the run starts, at the block's first row. After its rows of a step, each
@@ -106,6 +107,8 @@ class PsoParams:
             raise ConfigurationError(
                 f"delta_window must be >= 1, got {self.delta_window}"
             )
+        if self.rng_seed < 0:
+            raise ConfigurationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass
@@ -206,6 +209,13 @@ def _check_finite(fitness: np.ndarray) -> None:
 # n = 100, two blocks break even at about 2^15 on F2 and 2^16 on the other
 # functions, and F2 steps take 0.63x as long at d = 1000.
 _THREAD_FLOOR = 1 << 16
+
+
+def available_cpus() -> int:
+    """CPUs the calling thread may run on; all of them without CPU affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cpu_share(cpus: list[int], i: int, w: int) -> list[int]:
@@ -339,8 +349,7 @@ def initialize_swarm(objective, params: PsoParams, rng: np.random.Generator) -> 
     return Swarm(positions, np.zeros_like(positions), positions.copy(), fitness.copy())
 
 
-def run(objective, g: topo.TopologyGraph, params: PsoParams,
-        threads: int = 1) -> tuple[RunTrace, InteractionLog]:
+def run(objective, g: topo.TopologyGraph, params: PsoParams) -> tuple[RunTrace, InteractionLog]:
     """Run constricted PSO until t_max or convergence.
 
     Convergence is declared at iteration t_s when the relative improvement
@@ -348,18 +357,16 @@ def run(objective, g: topo.TopologyGraph, params: PsoParams,
     the run then stops at t_s + delta_window (see `converged_at`). The
     trace and log cover exactly the executed iterations 1..T.
 
-    Above `_THREAD_FLOOR` coordinates, each step splits its rows over up to
-    `threads` threads; the result is the same at every thread count.
+    Above `_THREAD_FLOOR` coordinates, each step splits its rows over
+    `available_cpus()` threads, at most one per row, with the same result.
     """
     params.validate()
     if g.n != params.swarm_size:
         raise ConfigurationError(
             f"topology size {g.n} does not match swarm_size {params.swarm_size}"
         )
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     n, d = params.swarm_size, objective.dimension
-    blocks = min(threads, n) if n * d >= _THREAD_FLOOR else 1
+    blocks = min(available_cpus(), n) if n * d >= _THREAD_FLOOR else 1
     rng = np.random.default_rng(params.rng_seed)
     swarm = initialize_swarm(objective, params, rng)
     f_prev = swarm.global_best_fitness()

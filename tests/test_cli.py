@@ -64,16 +64,16 @@ def _tree(out):
 _run_cell = experiment.run_cell
 
 
-def _run_cell_failing_at_global_1(config, spec, repetition, cell_dir, threads=1):
+def _run_cell_failing_at_global_1(config, spec, repetition, cell_dir):
     if spec.kind is TopologyKind.GLOBAL and repetition == 1:
         raise InputError("global repetition 1 failed")
-    return _run_cell(config, spec, repetition, cell_dir, threads=threads)
+    return _run_cell(config, spec, repetition, cell_dir)
 
 
-def _run_cell_killed_at_rep_1(config, spec, repetition, cell_dir, threads=1):
+def _run_cell_killed_at_rep_1(config, spec, repetition, cell_dir):
     if repetition == 1:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _run_cell(config, spec, repetition, cell_dir, threads=threads)
+    return _run_cell(config, spec, repetition, cell_dir)
 
 
 def _run_in_memory(cfg):
@@ -104,17 +104,25 @@ def tiny_config(tmp_path):
 
 @pytest.fixture
 def pool_workers(monkeypatch):
-    """The number of workers each `ordered_map` map forks."""
+    """The number of workers each `ordered_map` map that forks any forks."""
     counts = []
-    forked_map = experiment._forked_map
+    forked_map, fork = experiment._forked_map, os.fork
 
-    def spy(workers, *args):
-        before = len(workers)
+    def counting_fork():
+        pid = fork()
+        if pid:  # in the parent; a worker's count is its own
+            counts[-1] += 1
+        return pid
+
+    def spy(*args):
+        counts.append(0)
         try:
-            yield from forked_map(workers, *args)
+            yield from forked_map(*args)
         finally:
-            counts.append(len(workers) - before)
+            if not counts[-1]:
+                counts.pop()
 
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(experiment, "_forked_map", spy)
     return counts
 
@@ -456,15 +464,19 @@ class TestCliCommands:
 
     def test_sweep_tree_does_not_depend_on_jobs(self, tmp_path, monkeypatch):
         # 100 particles at d=700 are above the size where a run splits its
-        # rows over threads. With two CPUs, --jobs 1 gives each cell two
-        # threads and --jobs 2 gives each of the two workers one; a 1-cell
-        # sweep at --jobs 2 runs in this process, on both CPUs.
-        monkeypatch.setattr(experiment, "available_cpus", lambda: 2)
-        splits = []
+        # rows over threads. As on two CPUs, this process sees two and each
+        # worker of --jobs 2 sees its one-CPU share: --jobs 1 runs each cell
+        # in two blocks, and so does a 1-cell sweep at --jobs 2, which runs
+        # in this process; the two workers run theirs in one block each.
+        # Each run names a file after its process and block count.
+        parent = os.getpid()
+        monkeypatch.setattr(pso, "available_cpus", lambda: 2 if os.getpid() == parent else 1)
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()
         rows = pso._Workspace.rows
 
         def spy(work, fn):
-            splits.append(len(work.bounds))
+            (blocks / f"{os.getpid()}_{len(work.bounds)}").touch()
             return rows(work, fn)
 
         monkeypatch.setattr(pso._Workspace, "rows", spy)
@@ -487,7 +499,9 @@ class TestCliCommands:
         assert len(trees[2]) == 4 and summary in trees[2]
         assert all(trees[0][path] == data for path, data in trees[2].items()
                    if path != summary)
-        assert set(splits) == {2}
+        runs = [path.name.split("_") for path in blocks.iterdir()]
+        assert {n for pid, n in runs if int(pid) == parent} == {"2"}
+        assert {n for pid, n in runs if int(pid) != parent} == {"1"}
 
     def test_sweep_jobs_defaults_to_available_cpus(self, tiny_config, tmp_path, monkeypatch,
                                                    pool_workers):

@@ -1,6 +1,7 @@
 """Sweep-harness, statistics, and seed fan-out checks."""
 
 import dataclasses
+import json
 import multiprocessing
 import os
 import pickle
@@ -395,7 +396,7 @@ class TestCorrelation:
 _STARTS = None  # the directory _failing_cell marks each started cell in
 
 
-def _failing_cell(config, spec, repetition, cell_dir, threads=1):
+def _failing_cell(config, spec, repetition, cell_dir):
     """run_cell stand-in: marks its start, fails at repetition 0, else idles."""
     (_STARTS / f"{spec.kind.value}_{repetition}").touch()
     if repetition == 0:
@@ -505,6 +506,37 @@ class TestOrderedMap:
         assert len(seen) == 2
         assert sorted(seen.values()) == [pso.cpu_share(cpus, i, 2) for i in range(2)]
         assert sorted(os.sched_getaffinity(0)) == cpus
+        assert _no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="placement needs CPU affinity and at least 2 CPUs to tell shares apart")
+    def test_sweep_workers_split_their_runs_over_their_shares(self, tmp_path, monkeypatch):
+        # Above the floor, the run of worker i of 2 splits its rows into one
+        # block per CPU of share i. Each worker reports its affinity and
+        # block count in a file named after its pid.
+        cpus = sorted(os.sched_getaffinity(0))
+        seen = tmp_path / "seen"
+        seen.mkdir()
+        rows = pso._Workspace.rows
+
+        def spy(work, fn):
+            report = [sorted(os.sched_getaffinity(0)), len(work.bounds)]
+            (seen / str(os.getpid())).write_text(json.dumps(report))
+            return rows(work, fn)
+
+        monkeypatch.setattr(pso._Workspace, "rows", spy)
+        cfg = _config(objective=ObjectiveSpec(FunctionId.F2, dimension=700),
+                      params=PsoParams(swarm_size=100, t_max=3), windows=(2,))
+        run_sweep(cfg, tmp_path / "out", jobs=2)
+        shares = sorted(pso.cpu_share(cpus, i, 2) for i in range(2))
+        assert sorted(json.loads(path.read_text()) for path in seen.iterdir()) == [
+            [share, len(share)] for share in shares]
+        assert _no_child_left()
+
+    def test_one_task_forks_no_worker(self):
+        # min(3, 1) workers is below 2: the task runs in this process.
+        with ordered_map(3) as mapped:
+            assert list(mapped(_task, ["pid"])) == [os.getpid()]
         assert _no_child_left()
 
     @pytest.mark.parametrize("task, how", [("kill", "killed by signal 9"),

@@ -50,7 +50,7 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(case: str, out_dir: Path, threads: int = 1) -> dict[str, str]:
+def run_case(case: str, out_dir: Path) -> dict[str, str]:
     """Run one case and hash everything it leaves behind."""
     fid, d, n, topo = CASES[case]
     kind, k = _TOPOLOGIES[topo]
@@ -67,8 +67,7 @@ def run_case(case: str, out_dir: Path, threads: int = 1) -> dict[str, str]:
 
     pso.step = spy
     try:
-        trace, log = pso.run(objective, build_topology(kind, n, k), params,
-                             threads=threads)
+        trace, log = pso.run(objective, build_topology(kind, n, k), params)
     finally:
         pso.step = original
     swarm = swarms[-1]
@@ -99,7 +98,8 @@ def test_golden_file_covers_every_case():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_run_matches_golden_hashes(case, tmp_path):
+def test_run_matches_golden_hashes(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(pso, "available_cpus", lambda: 1)
     assert run_case(case, tmp_path) == _golden()[case]
 
 
@@ -109,6 +109,7 @@ def test_hashes_do_not_depend_on_thread_count(case, threads, tmp_path, monkeypat
     # One thread is the test above. The small cases lower the floor so that
     # their rows are split too; the large case splits at the real floor.
     # Three threads over 12 or 100 rows give blocks of 4/4/4 and 33/33/34.
+    monkeypatch.setattr(pso, "available_cpus", lambda: threads)
     _, d, n, _ = CASES[case]
     if n * d < pso._THREAD_FLOOR:
         monkeypatch.setattr(pso, "_THREAD_FLOOR", 0)
@@ -124,7 +125,7 @@ def test_hashes_do_not_depend_on_thread_count(case, threads, tmp_path, monkeypat
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        digests = run_case(case, tmp_path, threads)
+        digests = run_case(case, tmp_path)
     finally:
         sys.setswitchinterval(interval)
     assert digests == _golden()[case]
@@ -136,8 +137,8 @@ def test_two_threads_on_one_cpu_match_golden_hashes(tmp_path):
     # Both row-block shares of a process limited to one CPU are that CPU.
     cpu = min(os.sched_getaffinity(0))
     code = (f"import os, json, pathlib; os.sched_setaffinity(0, {{{cpu}}}); "
-            f"from test_golden import run_case; "
-            f"print(json.dumps(run_case('f2_ring_large', pathlib.Path({str(tmp_path)!r}), 2)))")
+            f"from test_golden import pso, run_case; pso.available_cpus = lambda: 2; "
+            f"print(json.dumps(run_case('f2_ring_large', pathlib.Path({str(tmp_path)!r}))))")
     path = os.pathsep.join([str(Path(__file__).parent), str(Path(pso.__file__).parents[1])])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)

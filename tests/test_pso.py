@@ -68,6 +68,7 @@ class TestConstriction:
             dict(delta_window=0),
             dict(c1=-100.0, c2=106.0),
             dict(c1=5.2, c2=-1.0),
+            dict(rng_seed=-1),
         ):
             with pytest.raises(ConfigurationError):
                 PsoParams(**kwargs).validate()
@@ -504,7 +505,7 @@ class TestRun:
         assert len(log) == t_max
         assert peak <= 1.25 * log.choices.nbytes
 
-    def test_step_works_in_the_swarm_and_three_workspace_arrays(self):
+    def test_step_works_in_the_swarm_and_three_workspace_arrays(self, monkeypatch):
         # Swarm (3 n*d arrays), u (2) and nbest (1) peak at 6 n*d floats. The
         # separate r1/r2 products, differences and F2 temporaries, and the
         # buffered copy of np.take's out, peaked at over 8.
@@ -512,9 +513,10 @@ class TestRun:
         g = build_topology(TopologyKind.RING, n)
         params = PsoParams(swarm_size=n, t_max=5, delta_window=5)
         objective = make_objective(ObjectiveSpec(FunctionId.F2, dimension=d))
+        monkeypatch.setattr(pso, "available_cpus", lambda: 2)
         tracemalloc.start()
         try:
-            run(objective, g, params, threads=2)
+            run(objective, g, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -553,11 +555,6 @@ class TestRun:
         with pytest.raises(NonFiniteFitnessError, match="iteration 1"):
             run(_ExplodingObjective(), g, params)
 
-    def test_threads_must_be_positive(self):
-        g = build_topology(TopologyKind.RING, 6)
-        with pytest.raises(ConfigurationError, match="threads"):
-            run(self._sphere(), g, PsoParams(swarm_size=6, t_max=5), threads=0)
-
     def test_log_choices_are_neighbors(self):
         g = build_topology(TopologyKind.VON_NEUMANN, 9)
         params = PsoParams(swarm_size=9, t_max=30, delta_window=10)
@@ -594,6 +591,7 @@ class TestOracle:
 
     def _check(self, monkeypatch, objective, kind, k, params, threads=1):
         swarms = []
+        monkeypatch.setattr(pso, "available_cpus", lambda: threads)
 
         def keep(*args):
             swarms.append(initialize_swarm(*args))
@@ -601,7 +599,7 @@ class TestOracle:
 
         monkeypatch.setattr(pso, "initialize_swarm", keep)
         g = build_topology(kind, params.swarm_size, k)
-        trace, log = run(objective, g, params, threads=threads)
+        trace, log = run(objective, g, params)
         (best, delta, converged_at), choices, (x, v, p, pf) = oracle_pso(
             objective, kind.value, k, params)
         assert _bits(trace.global_best_fitness) == _bits(best)
@@ -690,9 +688,9 @@ class TestPlacement:
             return original(swarm, choices, kernel, work, lo, hi)
 
         monkeypatch.setattr(pso, "_step_rows", spy)
+        monkeypatch.setattr(pso, "available_cpus", lambda: blocks)
         objective = make_objective(ObjectiveSpec(FunctionId.F2, dimension=4))
-        run(objective, build_topology(TopologyKind.RING, 8),
-            PsoParams(swarm_size=8, t_max=20), threads=blocks)
+        run(objective, build_topology(TopologyKind.RING, 8), PsoParams(swarm_size=8, t_max=20))
         caller = threading.get_ident()
         assert {lo for _, lo in seen} == {8 * j // blocks for j in range(blocks)}
         assert all((thread == caller) == (lo == 0) for thread, lo in seen)
@@ -704,17 +702,40 @@ class TestPlacement:
         if len(cpus) <= 4:
             assert all(len(cpu) == 1 for cpu in pinned.values())
 
+    @pytest.mark.skipif(not _cpus(), reason="needs CPU affinity")
+    def test_blocks_follow_the_cpus_of_the_calling_thread(self, monkeypatch):
+        # Above the floor, a run splits over every CPU its thread may run
+        # on, and pinned to one CPU, it runs one block.
+        cpus = _cpus()
+        n, d = 64, 1024
+        assert n * d >= pso._THREAD_FLOOR
+        splits = []
+        rows = pso._Workspace.rows
+
+        def spy(work, fn):
+            splits.append(len(work.bounds))
+            return rows(work, fn)
+
+        monkeypatch.setattr(pso._Workspace, "rows", spy)
+        objective = make_objective(ObjectiveSpec(FunctionId.SPHERE, dimension=d))
+        g = build_topology(TopologyKind.RING, n)
+        for affinity, blocks in ((cpus, min(len(cpus), n)), (cpus[:1], 1)):
+            os.sched_setaffinity(0, affinity)
+            splits.clear()
+            run(objective, g, PsoParams(swarm_size=n, t_max=2))
+            assert set(splits) == {blocks}
+
     @needs_two_cpus
     @pytest.mark.parametrize("explode", [False, True])
     def test_caller_affinity_is_left_as_it_was(self, monkeypatch, explode):
         monkeypatch.setattr(pso, "_THREAD_FLOOR", 0)
+        monkeypatch.setattr(pso, "available_cpus", lambda: 2)
         before = os.sched_getaffinity(0)
         g = build_topology(TopologyKind.RING, 4)
         params = PsoParams(swarm_size=4, t_max=10, delta_window=5)
         if explode:
             with pytest.raises(NonFiniteFitnessError):
-                run(_ExplodingObjective(), g, params, threads=2)
+                run(_ExplodingObjective(), g, params)
         else:
-            run(make_objective(ObjectiveSpec(FunctionId.SPHERE, dimension=4)), g, params,
-                threads=2)
+            run(make_objective(ObjectiveSpec(FunctionId.SPHERE, dimension=4)), g, params)
         assert os.sched_getaffinity(0) == before
