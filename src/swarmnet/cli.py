@@ -9,8 +9,8 @@ workers as there are CPUs or logs, whichever is fewer. A run splits over
 the CPUs it may run on: a worker's share, or all of them in the parent.
 Each set of files a command writes, such as a cell's three or all of
 analyze's, goes through io.write_all_replacing, whole or not at all. `-v`
-and `-vv` set the level of the `swarmnet` logger. Exit codes: 0 on
-success, 1 for configuration problems, 2 for runtime failures.
+sets the `swarmnet` logger to INFO. Exit codes: 0 on success, 1 for
+configuration problems, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", metavar="KEY=VALUE", action="append",
                         dest="overrides", default=[],
                         help="override one config field (repeatable)")
-    common.add_argument("-v", "--verbose", action="count", default=0,
-                        help="increase log verbosity (-v info, -vv debug)")
+    common.add_argument("-v", "--verbose", action="store_true",
+                        help="log progress at INFO level")
 
     parser = argparse.ArgumentParser(
         prog="swarmnet",
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # On the package's logger: basicConfig, which gives the records a
     # handler, does nothing when the root logger already has one.
-    log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)

@@ -155,11 +155,6 @@ class SummaryRow:
     mean_fdelta: float
     converged_fraction: float
 
-    @property
-    def degenerate_interval(self) -> bool:
-        """One repetition: the interval collapses to the point estimate."""
-        return self.repetitions < 2
-
 
 @contextlib.contextmanager
 def ordered_map(jobs: int):

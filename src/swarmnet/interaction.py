@@ -94,7 +94,6 @@ class DestructionCurve:
 class DiversityReport:
     """Per-window destruction areas and the diversity value they yield."""
 
-    window_set: tuple[int, ...]
     areas: tuple[float, ...]
     id_value: float
 
@@ -227,7 +226,7 @@ def interaction_diversity(log: InteractionLog, t: int,
     nets = np.stack([build_network(log, t, w).weights for w in windows])
     areas = tuple(_areas(nets, windows).tolist())
     id_value = 1.0 - sum(areas) / (log.n * len(windows))
-    return DiversityReport(tuple(windows), areas, id_value)
+    return DiversityReport(areas, id_value)
 
 
 def sample_points(total: int, stride: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import os
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from contextlib import suppress
 from itertools import takewhile
 from pathlib import Path
@@ -140,9 +140,17 @@ def _open(path, mode="r"):
         raise InputError(f"{path}: cannot read ({exc.strerror})") from None
 
 
-def _rows(path, header: list[str], width: int) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each line after a checked header.
+def _int64(field: str) -> int:
+    """int(field), which must fit int64."""
+    if -(1 << 63) <= (value := int(field)) < 1 << 63:
+        return value
+    raise ValueError(f"{field} is outside int64")
 
+
+def _columns(path, header: list[str], parsers) -> list[list]:
+    """The columns of a table after a checked header, each parsed whole by
+    its parser in parsers. Only if a row has another field count, or a
+    parser refuses a field, are the rows walked, to name the first bad line.
     Line numbers count lines, the header being line 1. A last line with no
     line end, as in a file cut short, is an error at that line.
     """
@@ -157,10 +165,20 @@ def _rows(path, header: list[str], width: int) -> Iterator[tuple[int, list[str]]
     got = next(reader, None)
     if got != header:
         raise _parse_error(path, 1, f"expected header {header}, got {got}")
-    for line_no, row in enumerate(reader, start=2):
+    rows, width = list(reader), len(header)
+    with suppress(ValueError):
+        if all(len(row) == width for row in rows):
+            columns = list(zip(*rows)) or [()] * width
+            return [list(map(parse, column)) for parse, column in zip(parsers, columns)]
+    for line_no, row in enumerate(rows, start=2):
         if len(row) != width:
             raise _parse_error(path, line_no, f"expected {width} fields, got {len(row)}")
-        yield line_no, row
+        try:
+            for parse, field in zip(parsers, row):
+                parse(field)
+        except ValueError:
+            raise _parse_error(path, line_no, f"malformed field in {row}") from None
+    raise AssertionError(f"{path}: a column refused a field that its row accepts")
 
 
 # Body bytes per parse chunk, cut at a line end. A chunk's index arrays
@@ -337,14 +355,7 @@ def write_run_trace(path, trace: RunTrace) -> None:
 
 def read_run_trace(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (iterations, global best fitness, fitness improvement)."""
-    iters, f_g, f_d = [], [], []
-    for line_no, row in _rows(path, TRACE_HEADER, 3):
-        try:
-            iters.append(int(row[0]))
-            f_g.append(float(row[1]))
-            f_d.append(float(row[2]))
-        except ValueError:
-            raise _parse_error(path, line_no, f"malformed numeric field in {row}")
+    iters, f_g, f_d = _columns(path, TRACE_HEADER, (_int64, float, float))
     return np.array(iters, dtype=np.int64), np.array(f_g), np.array(f_d)
 
 
@@ -355,13 +366,7 @@ def write_diversity_series(path, iterations: np.ndarray,
 
 
 def read_diversity_series(path) -> tuple[np.ndarray, np.ndarray]:
-    iters, values = [], []
-    for line_no, row in _rows(path, DIVERSITY_HEADER, 2):
-        try:
-            iters.append(int(row[0]))
-            values.append(float(row[1]))
-        except ValueError:
-            raise _parse_error(path, line_no, f"malformed numeric field in {row}")
+    iters, values = _columns(path, DIVERSITY_HEADER, (_int64, float))
     return np.array(iters, dtype=np.int64), np.array(values)
 
 
@@ -384,24 +389,8 @@ def write_summary(path, rows: list[SummaryRow]) -> None:
 
 
 def read_summary(path) -> list[SummaryRow]:
-    rows = []
-    for line_no, row in _rows(path, SUMMARY_HEADER, len(SUMMARY_HEADER)):
-        try:
-            rows.append(SummaryRow(
-                function_id=FunctionId(row[0]),
-                topology_kind=TopologyKind(row[1]),
-                k=int(row[2]),
-                repetitions=int(row[3]),
-                mean_id=float(row[4]),
-                id_ci_low=float(row[5]),
-                id_ci_high=float(row[6]),
-                mean_final_fitness=float(row[7]),
-                mean_fdelta=float(row[8]),
-                converged_fraction=float(row[9]),
-            ))
-        except ValueError:
-            raise _parse_error(path, line_no, f"malformed field in {row}")
-    return rows
+    parsers = (FunctionId, TopologyKind, _int64, _int64, *[float] * 6)
+    return [SummaryRow(*row) for row in zip(*_columns(path, SUMMARY_HEADER, parsers))]
 
 
 def find_log_files(root) -> list[Path]:

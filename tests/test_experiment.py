@@ -254,7 +254,7 @@ class TestSummarize:
         row = summarize(self._results([0.3, 0.3, 0.3]))
         assert row.mean_id == 0.3
         assert (row.id_ci_low, row.id_ci_high) == (0.3, 0.3)
-        assert not row.degenerate_interval
+        assert row.repetitions == 3
 
     def test_two_sample_interval_matches_t_quantile(self):
         row = summarize(self._results([0.2, 0.4]))
@@ -271,7 +271,6 @@ class TestSummarize:
         row = summarize(self._results([0.4]))
         assert row.repetitions == 1
         assert (row.id_ci_low, row.id_ci_high) == (0.4, 0.4)
-        assert row.degenerate_interval
 
     def test_interval_brackets_mean(self):
         row = summarize(self._results([0.1, 0.25, 0.3, 0.2]))

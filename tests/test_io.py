@@ -451,12 +451,27 @@ def test_table_readers_name_file_and_line(tmp_path, reader, header, row):
     expected = f"t.csv:3: expected {len(header)} fields, got 1"
     with pytest.raises(InputError, match=re.escape(expected) + "$"):
         reader(path)
-    bad = row.replace("0.5", "half", 1)
-    path.write_text(",".join(header) + "\n" + row + "\n" + bad + "\n")
-    kind = "field" if reader is io.read_summary else "numeric field"
-    expected = f"t.csv:3: malformed {kind} in {bad.split(',')}"
-    with pytest.raises(InputError, match=re.escape(expected) + "$"):
-        reader(path)
+    # A float field that does not parse, and an integer beyond int64 in the
+    # table's first integer column: an iteration, or the summary's k.
+    fields = row.split(",")
+    fields[next(j for j, v in enumerate(fields) if v.isdigit())] = "99999999999999999999"
+    for bad in (row.replace("0.5", "half", 1), ",".join(fields)):
+        path.write_text(",".join(header) + "\n" + row + "\n" + bad + "\n")
+        expected = f"t.csv:3: malformed field in {bad.split(',')}"
+        with pytest.raises(InputError, match=re.escape(expected) + "$"):
+            reader(path)
+
+
+@pytest.mark.parametrize("reader,header,row", TABLES)
+def test_header_only_table_reads_as_empty(tmp_path, reader, header, row):
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(header) + "\r\n", newline="")
+    if reader is io.read_summary:
+        assert reader(path) == []
+        return
+    columns = reader(path)
+    assert [(len(c), c.dtype) for c in columns] == [
+        (0, np.dtype(np.int64))] + [(0, np.dtype(np.float64))] * (len(header) - 1)
 
 
 @pytest.mark.parametrize("reader,header,row", TABLES)
@@ -495,6 +510,8 @@ def test_find_log_files_skips_files_that_are_not_text(tmp_path):
     (tmp_path / "junk.csv").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe" + head)
     (tmp_path / "log.csv").write_bytes(head + b"1,0,1\r\n1,1,\xff\r\n")
     # The log's header marks it as a log; its reader then names the bad byte.
+    # A directory matches *.csv too, but cannot be opened: it is skipped.
+    (tmp_path / "d.csv").mkdir()
     assert io.find_log_files(tmp_path) == [tmp_path / "log.csv"]
 
 
